@@ -95,6 +95,7 @@ def _run_smoke():
                     "proved_untestable": summary["proved_untestable"],
                     "aborted": len(result.aborted),
                     "test_coverage": summary["test_coverage"],
+                    "implications": sum(result.engine_implications.values()),
                 }
             )
         # Same seed, same engine: campaigns must be bit-identical.

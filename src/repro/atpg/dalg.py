@@ -106,13 +106,10 @@ class DAlgorithm(Podem):
     # Search
     # ------------------------------------------------------------------
 
-    def generate(self, fault: StuckAtFault) -> PodemResult:
-        deadline = (
-            None
-            if self.time_budget_s is None
-            else time.perf_counter() + self.time_budget_s
-        )
-        return self._search(fault, self.backtrack_limit, deadline)
+    # PODEM's budget setup and implication count around this engine's own
+    # _search; bound here so per-engine profilers that patch ``generate``
+    # on each class see the D-algorithm separately.
+    generate = Podem.generate
 
     def _search(
         self,

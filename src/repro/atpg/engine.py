@@ -87,6 +87,9 @@ class AtpgResult:
     #: Per-engine abort reasons for faults no engine settled — the audit
     #: trail that makes every abort explained, never silent.
     engine_abort_reasons: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: Implications (gate re-evaluations) each deterministic engine spent
+    #: in phase 2, keyed by engine name: a deterministic work counter.
+    engine_implications: Dict[str, int] = field(default_factory=dict)
 
     @property
     def detected(self) -> int:
@@ -248,11 +251,21 @@ def run_atpg(
     phase2_fills: List[List[int]] = []
     queue = list(remaining)
     undetected = set(remaining)
+    # Per aborted fault: (reason, {engine: reason}); tallied once the final
+    # pattern set has had its chance to detect the fault.
+    abort_trail: Dict[StuckAtFault, tuple] = {}
     with obs.span("podem"):
         for fault in queue:
             if fault not in undetected:
                 continue
             outcome = generator.generate(fault)
+            work = getattr(outcome, "engine_implications", None) or {
+                engine: outcome.implications
+            }
+            for member, count in work.items():
+                result.engine_implications[member] = (
+                    result.engine_implications.get(member, 0) + count
+                )
             winner = getattr(outcome, "winner", None)
             if outcome.status != "aborted":
                 settled_by = winner or engine
@@ -266,19 +279,10 @@ def run_atpg(
             if outcome.status == "aborted":
                 result.aborted.append(fault)
                 reason = outcome.reason or "backtracks"
-                result.abort_reasons[reason] = (
-                    result.abort_reasons.get(reason, 0) + 1
-                )
                 per_engine = getattr(outcome, "engine_reasons", None) or {
                     engine: reason
                 }
-                for member, member_reason in per_engine.items():
-                    member_counts = result.engine_abort_reasons.setdefault(
-                        member, {}
-                    )
-                    member_counts[member_reason] = (
-                        member_counts.get(member_reason, 0) + 1
-                    )
+                abort_trail[fault] = (reason, per_engine)
                 undetected.discard(fault)
                 continue
             cube = outcome.cube
@@ -313,13 +317,12 @@ def run_atpg(
     # the final set and top off from the phase-2 fills (each known-good).
     if compact and phase2_fills:
         with obs.span("top_off"):
-            counted = [
-                f
-                for f in faults
-                if f not in set(result.untestable)
-                and f not in set(result.aborted)
-                and f not in set(result.consistency_errors)
-            ]
+            excluded = (
+                set(result.untestable)
+                | set(result.aborted)
+                | set(result.consistency_errors)
+            )
+            counted = [f for f in faults if f not in excluded]
             check = batch_sim(result.patterns, counted)
             missing = [f for f in counted if f not in check.detected]
             # Top off one fill at a time: each fill was already simulated as
@@ -333,6 +336,24 @@ def run_atpg(
                 if topoff.detected:
                     result.patterns.append(fill)
                     missing = [f for f in missing if f not in topoff.detected]
+
+    # An aborted fault left the phase-2 fault list when it aborted, so no
+    # later fill and no compacted pattern was ever graded against it; the
+    # random patterns all were.  Credit whatever the deterministic part of
+    # the final set detects.
+    deterministic_part = result.patterns[len(kept_patterns):]
+    if result.aborted and deterministic_part:
+        credited = simulator.simulate(
+            deterministic_part, result.aborted, drop=True
+        ).detected
+        result.detected_deterministic += len(credited)
+        result.aborted = [f for f in result.aborted if f not in credited]
+    for fault in result.aborted:
+        reason, per_engine = abort_trail[fault]
+        result.abort_reasons[reason] = result.abort_reasons.get(reason, 0) + 1
+        for member, member_reason in per_engine.items():
+            member_counts = result.engine_abort_reasons.setdefault(member, {})
+            member_counts[member_reason] = member_counts.get(member_reason, 0) + 1
 
     if owned_journal is not None:
         owned_journal.close()
@@ -358,6 +379,7 @@ def _publish_atpg(result: AtpgResult) -> None:
             "consistency_errors": len(result.consistency_errors),
             "patterns": len(result.patterns),
             "cubes": len(result.cubes),
+            "implications": sum(result.engine_implications.values()),
         },
     )
     if result.winner_engines:

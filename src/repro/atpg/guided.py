@@ -86,6 +86,7 @@ class GuidedPodem(Podem):
             else time.perf_counter() + self.time_budget_s
         )
         slices = _budget_slices(self.backtrack_limit, self.restarts)
+        start = self._implications
         total_backtracks = 0
         outcome = PodemResult(status="aborted", reason="backtracks")
         for rotation, slice_limit in enumerate(slices):
@@ -95,6 +96,7 @@ class GuidedPodem(Podem):
             if outcome.status != "aborted" or outcome.reason == "time":
                 break
         outcome.backtracks = total_backtracks
+        outcome.implications = self._implications - start
         return outcome
 
 

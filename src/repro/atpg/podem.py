@@ -12,7 +12,16 @@ Implementation notes for speed (this is the toolkit's hottest loop):
   gates evaluate by table lookup;
 * implication is event-driven — one input changes per decision, so only its
   fanout cone re-evaluates;
+* the fault-free all-X implication is computed once per engine; each fault
+  copies it and re-implies only from the fault site through its cone;
+* every cone walk (implication, X-path search, fault cones) follows the
+  netlist's shared table of non-sequential consumers
+  (:attr:`Netlist.comb_fanout`), so no inner loop asks a gate whether it
+  is a flop;
 * all frontier/detection scans are restricted to the fault's fanout cone.
+
+Each result counts its *implications*: gate re-evaluations inside the
+implication core, a deterministic measure of the search's work.
 
 The engine produces a *test cube*: an input vector over ``{0, 1, X}`` whose
 X positions are don't-cares.  Compaction and compression exploit those X's;
@@ -61,6 +70,8 @@ class PodemResult:
     cube: Optional[List[int]] = None  # 0/1/X per view input, when detected
     backtracks: int = 0
     reason: Optional[str] = None  # set when status == "aborted"
+    #: Gate re-evaluations the search's implications made (deterministic).
+    implications: int = 0
 
     @property
     def detected(self) -> bool:
@@ -94,6 +105,14 @@ class Podem:
         self._topo_position = [0] * len(netlist.gates)
         for position, gate_index in enumerate(netlist.topo_order):
             self._topo_position[gate_index] = position
+        self._consumers = netlist.comb_fanout
+        #: POs and flops: a branch fault on one of their pins is observed
+        #: directly at that pin.
+        self._observation_gates = frozenset(netlist.observation_points())
+        #: Fault-free all-X implication, computed on first use.
+        self._all_x: Optional[List[int]] = None
+        #: Lifetime implication count; generate() reports per-fault deltas.
+        self._implications = 0
         # Per-fault scratch, (re)bound by generate().
         self._cone_gates: List[int] = []
         self._cone_readers: List[int] = []
@@ -165,37 +184,56 @@ class Podem:
         self, source: int, fault: StuckAtFault, values: List[int]
     ) -> None:
         """Event-driven re-implication through the fanout cone of ``source``."""
-        gates = self.netlist.gates
+        consumers = self._consumers
         topo = self._topo_position
-        heap: List[int] = []
-        enqueued = set()
-
-        for consumer in gates[source].fanout:
-            if not gates[consumer].is_sequential:
-                enqueued.add(consumer)
-                heappush(heap, (topo[consumer] << 32) | consumer)
+        recompute = self._recompute
+        heap = [(topo[consumer] << 32) | consumer for consumer in consumers[source]]
+        heap.sort()
+        enqueued = set(consumers[source])
+        evaluations = 0
         while heap:
             gate_index = heappop(heap) & 0xFFFFFFFF
-            packed = self._recompute(gate_index, fault, values)
+            packed = recompute(gate_index, fault, values)
+            evaluations += 1
             if packed == values[gate_index]:
                 continue
             values[gate_index] = packed
-            for consumer in gates[gate_index].fanout:
-                if consumer not in enqueued and not gates[consumer].is_sequential:
+            for consumer in consumers[gate_index]:
+                if consumer not in enqueued:
                     enqueued.add(consumer)
                     heappush(heap, (topo[consumer] << 32) | consumer)
+        self._implications += evaluations
 
     def _initial_values(self, fault: StuckAtFault) -> List[int]:
-        """All-X implication with the fault injected at its site."""
-        gates = self.netlist.gates
-        values = [DX] * len(gates)
+        """All-X implication with the fault injected at its site.
+
+        Copies the engine's fault-free all-X state and re-implies from the
+        fault site through its cone, which reaches the same fixed point as
+        a whole-netlist pass with the fault injected.
+        """
+        if self._all_x is None:
+            self._all_x = self._fault_free_all_x()
+        values = list(self._all_x)
+        site = fault.gate
+        if site in self._input_position:
+            if fault.pin != OUTPUT_PIN:
+                return values  # a flop's D-pin branch: its output stays X
+            packed = _RAIL_X * 3 + fault.value
+        else:
+            packed = self._recompute(site, fault, values)
+            self._implications += 1
+        if packed != values[site]:
+            values[site] = packed
+            self._propagate_change(site, fault, values)
+        return values
+
+    def _fault_free_all_x(self) -> List[int]:
+        """Topological implication of the fault-free netlist, all inputs X."""
+        no_fault = StuckAtFault(-1, OUTPUT_PIN, 0)
+        values = [DX] * len(self.netlist.gates)
         for gate_index in self.netlist.topo_order:
-            gate = gates[gate_index]
-            if gate.type == GateType.INPUT or gate.is_sequential:
-                if fault.pin == OUTPUT_PIN and gate_index == fault.gate:
-                    values[gate_index] = _RAIL_X * 3 + fault.value
-                continue
-            values[gate_index] = self._recompute(gate_index, fault, values)
+            if gate_index not in self._input_position:
+                values[gate_index] = self._recompute(gate_index, no_fault, values)
         return values
 
     # ------------------------------------------------------------------
@@ -218,19 +256,14 @@ class Podem:
 
     def _branch_observed(self, fault: StuckAtFault, values: List[int]) -> bool:
         """Branch faults feeding a PO or flop D pin are observed directly."""
-        if fault.pin == OUTPUT_PIN:
+        if fault.pin == OUTPUT_PIN or fault.gate not in self._observation_gates:
             return False
         gate = self.netlist.gates[fault.gate]
-        if gate.type != GateType.OUTPUT and not gate.is_sequential:
-            return False
         good = good_rail(values[gate.fanin[fault.pin]])
         return good != _RAIL_X and good != fault.value
 
     def _branch_reaches_observation(self, fault: StuckAtFault) -> bool:
-        if fault.pin == OUTPUT_PIN:
-            return False
-        gate = self.netlist.gates[fault.gate]
-        return gate.type == GateType.OUTPUT or gate.is_sequential
+        return fault.pin != OUTPUT_PIN and fault.gate in self._observation_gates
 
     def _site_good_value(self, fault: StuckAtFault, values: List[int]) -> int:
         """Good rail at the fault site (0/1/2-for-X)."""
@@ -256,9 +289,9 @@ class Podem:
         frontier: List[int] = []
         gates = self.netlist.gates
         for index in self._cone_gates:
-            gate = gates[index]
-            if gate.type == GateType.INPUT or gate.is_sequential:
+            if index in self._input_position:
                 continue
+            gate = gates[index]
             if not has_x(values[index]):
                 continue
             if index == fault.gate and fault.pin != OUTPUT_PIN:
@@ -275,7 +308,7 @@ class Podem:
     def _x_path_exists(self, frontier: Sequence[int], values: List[int]) -> bool:
         """Can any D-frontier gate still reach a reader through X gates?"""
         readers = self._cone_reader_set
-        gates = self.netlist.gates
+        consumers = self._consumers
         seen = set()
         stack = list(frontier)
         while stack:
@@ -285,10 +318,7 @@ class Podem:
             seen.add(index)
             if index in readers:
                 return True
-            for consumer in gates[index].fanout:
-                gate = gates[consumer]
-                if gate.is_sequential:
-                    continue
+            for consumer in consumers[index]:
                 if has_x(values[consumer]):
                     stack.append(consumer)
         return False
@@ -408,7 +438,10 @@ class Podem:
             if self.time_budget_s is None
             else time.perf_counter() + self.time_budget_s
         )
-        return self._search(fault, self.backtrack_limit, deadline)
+        start = self._implications
+        outcome = self._search(fault, self.backtrack_limit, deadline)
+        outcome.implications = self._implications - start
+        return outcome
 
     def _abort_reason(self, deadline: Optional[float]) -> str:
         """Reason for an abort at the backtrack-budget trip point.

@@ -52,6 +52,7 @@ class PortfolioResult(PodemResult):
     winner: Optional[str] = None
     engine_reasons: Dict[str, str] = field(default_factory=dict)
     engine_backtracks: Dict[str, int] = field(default_factory=dict)
+    engine_implications: Dict[str, int] = field(default_factory=dict)
 
 
 class PortfolioAtpg:
@@ -98,19 +99,21 @@ class PortfolioAtpg:
     def generate(self, fault: StuckAtFault) -> PortfolioResult:
         reasons: Dict[str, str] = {}
         backtracks: Dict[str, int] = {}
-        total_backtracks = 0
+        implications: Dict[str, int] = {}
         for name, engine in self.engines:
             outcome = engine.generate(fault)
-            total_backtracks += outcome.backtracks
             backtracks[name] = outcome.backtracks
+            implications[name] = outcome.implications
             if outcome.status != "aborted":
                 return PortfolioResult(
                     status=outcome.status,
                     cube=outcome.cube,
-                    backtracks=total_backtracks,
+                    backtracks=sum(backtracks.values()),
+                    implications=sum(implications.values()),
                     winner=name,
                     engine_reasons=reasons,
                     engine_backtracks=backtracks,
+                    engine_implications=implications,
                 )
             reasons[name] = outcome.reason or "backtracks"
         # Every member aborted: surface "time" if any member ran out of
@@ -121,10 +124,12 @@ class PortfolioAtpg:
         )
         return PortfolioResult(
             status="aborted",
-            backtracks=total_backtracks,
+            backtracks=sum(backtracks.values()),
+            implications=sum(implications.values()),
             reason=reason,
             engine_reasons=reasons,
             engine_backtracks=backtracks,
+            engine_implications=implications,
         )
 
 

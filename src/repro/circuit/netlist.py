@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .gates import (
     SEQUENTIAL_TYPES,
@@ -67,6 +67,7 @@ class Netlist:
         self.outputs: List[int] = []
         self.flops: List[int] = []
         self._topo: Optional[List[int]] = None
+        self._comb_fanout: Optional[List[Tuple[int, ...]]] = None
         self._signature: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -145,6 +146,7 @@ class Netlist:
         for gate in self.gates:
             for driver in gate.fanin:
                 self.gates[driver].fanout.append(gate.index)
+        self._comb_fanout = None
 
         # Kahn's algorithm over combinational edges.  Flop gates are sources:
         # their D-pin dependency is a *next-cycle* edge, so it does not count
@@ -193,6 +195,24 @@ class Netlist:
         assert self._topo is not None
         return self._topo
 
+    @property
+    def comb_fanout(self) -> List[Tuple[int, ...]]:
+        """Per gate, its distinct non-sequential consumers in fanout order.
+
+        The combinational edges every cone walk follows (fault
+        propagation, implication, cone queries), built once per
+        :meth:`finalize` so no traversal asks each consumer whether it is
+        a flop.
+        """
+        self.finalize()
+        if self._comb_fanout is None:
+            sequential = [gate.is_sequential for gate in self.gates]
+            self._comb_fanout = [
+                tuple(dict.fromkeys(c for c in gate.fanout if not sequential[c]))
+                for gate in self.gates
+            ]
+        return self._comb_fanout
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -233,7 +253,7 @@ class Netlist:
 
     def fanout_cone(self, roots: Iterable[int]) -> Set[int]:
         """All gates in the transitive combinational fanout of ``roots``."""
-        self.finalize()
+        comb_fanout = self.comb_fanout
         seen: Set[int] = set()
         stack = list(roots)
         while stack:
@@ -241,9 +261,7 @@ class Netlist:
             if index in seen:
                 continue
             seen.add(index)
-            for consumer in self.gates[index].fanout:
-                if not self.gates[consumer].is_sequential:
-                    stack.append(consumer)
+            stack.extend(comb_fanout[index])
         return seen
 
     def observation_points(self) -> List[int]:

@@ -53,6 +53,7 @@ COUNTER_LEAVES = frozenset(
         "good_passes",
         "detected",
         "gates",
+        "implications",
     }
 )
 

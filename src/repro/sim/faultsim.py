@@ -136,7 +136,6 @@ class FaultSimulator:
         # the kernel, and both kernels produce bit-identical results.
         np_kernel = self.parallel.np_kernel
         self._np_evaluators = np_kernel.evaluators if np_kernel is not None else None
-        self._np_consumers = None
         # Per-gate compiled evaluators for cone propagation: the gate-type
         # dispatch chain is resolved once here instead of once per event.
         self._evaluators = [
@@ -149,22 +148,16 @@ class FaultSimulator:
         self._topo_position = [0] * len(netlist.gates)
         for position, gate_index in enumerate(order):
             self._topo_position[gate_index] = position
-        if self._np_evaluators is not None:
-            # Pre-filtered heap entries per gate — (topo position, consumer)
-            # for every non-sequential consumer — so the numpy event loop
-            # never touches gate properties while scheduling.
-            self._np_consumers = [
-                tuple(
-                    (self._topo_position[consumer], consumer)
-                    for consumer in gate.fanout
-                    if not netlist.gates[consumer].is_sequential
-                )
-                for gate in netlist.gates
-            ]
-        # Observation readers and, for branch-into-observation faults, the
-        # set of (reader position -> gate read).
+        self._consumers = netlist.comb_fanout
+        # Observation readers (one per response position, so a gate read
+        # twice appears twice) and their distinct set, which the readout
+        # intersects with the faulty map: a reader the fault never reached
+        # XORs to zero.
         self._readers = list(self.view.output_readers)
         self._reader_set = set(self._readers)
+        # POs and flops: a branch fault on one of their pins is observed
+        # directly, not through the faulty map.
+        self._observation_gates = frozenset(netlist.observation_points())
         # Lifetime instrumentation counters; simulate* methods snapshot
         # deltas into FaultSimResult.stats.
         self._events_propagated = 0
@@ -293,39 +286,41 @@ class FaultSimulator:
         """
         gates = self.netlist.gates
         evaluators = self._evaluators
+        consumers = self._consumers
+        topo = self._topo_position
         faulty: Dict[int, int] = {}
         heap: List[Tuple[int, int]] = []
         enqueued = set()
-
-        def schedule(gate_index: int) -> None:
-            if gate_index not in enqueued:
-                enqueued.add(gate_index)
-                heappush(heap, (self._topo_position[gate_index], gate_index))
+        events = 0
 
         for gate_index, word in seeds.items():
             if word != good[gate_index]:
                 faulty[gate_index] = word
-                for consumer in gates[gate_index].fanout:
-                    if not gates[consumer].is_sequential:
-                        schedule(consumer)
+                for consumer in consumers[gate_index]:
+                    if consumer not in enqueued:
+                        enqueued.add(consumer)
+                        heappush(heap, (topo[consumer], consumer))
 
         while heap:
             _, gate_index = heappop(heap)
             enqueued.discard(gate_index)
-            gate = gates[gate_index]
-            inputs = [faulty.get(driver, good[driver]) for driver in gate.fanin]
+            inputs = [
+                faulty.get(driver, good[driver]) for driver in gates[gate_index].fanin
+            ]
             word = evaluators[gate_index](inputs, mask)
-            self._events_propagated += 1
-            self._words_evaluated += 1
+            events += 1
             if word == good[gate_index]:
                 faulty.pop(gate_index, None)
                 continue
             if faulty.get(gate_index) == word:
                 continue
             faulty[gate_index] = word
-            for consumer in gate.fanout:
-                if not gates[consumer].is_sequential:
-                    schedule(consumer)
+            for consumer in consumers[gate_index]:
+                if consumer not in enqueued:
+                    enqueued.add(consumer)
+                    heappush(heap, (topo[consumer], consumer))
+        self._events_propagated += events
+        self._words_evaluated += events
         return faulty
 
     def _stuck_at_seeds(
@@ -337,7 +332,7 @@ class FaultSimulator:
         if fault.pin == OUTPUT_PIN:
             return {fault.gate: forced}
         gate = gates[fault.gate]
-        if gate.type == GateType.OUTPUT or gate.is_sequential:
+        if fault.gate in self._observation_gates:
             # Branch straight into an observation point: handled at readout.
             return {}
         inputs = [good[driver] for driver in gate.fanin]
@@ -353,19 +348,25 @@ class FaultSimulator:
         mask: int,
     ) -> int:
         """Patterns (bitmask) on which the fault effect reaches observation."""
-        diff = 0
-        for reader in self._readers:
-            diff |= faulty.get(reader, good[reader]) ^ good[reader]
+        diff = self._reader_diff(good, faulty)
         # A branch fault feeding a PO or flop D pin is observed directly at
         # that single observation position, bypassing the stem value.
-        if fault.pin != OUTPUT_PIN:
-            gate = self.netlist.gates[fault.gate]
-            if gate.type == GateType.OUTPUT or gate.is_sequential:
-                forced = mask if fault.value else 0
-                driver = gate.fanin[fault.pin]
-                observed_good = good[driver]
-                diff |= forced ^ observed_good
+        if fault.pin != OUTPUT_PIN and fault.gate in self._observation_gates:
+            forced = mask if fault.value else 0
+            driver = self.netlist.gates[fault.gate].fanin[fault.pin]
+            diff |= forced ^ good[driver]
         return diff & mask
+
+    def _reader_diff(self, good: Sequence[int], faulty: Dict[int, int]) -> int:
+        """OR of faulty ^ good over the observation readers (unmasked).
+
+        Cone-local: ``faulty`` holds only gates whose word differs from
+        good, so readers outside it XOR to zero and are never visited.
+        """
+        diff = 0
+        for reader in faulty.keys() & self._reader_set:
+            diff |= faulty[reader] ^ good[reader]
+        return diff
 
     # ------------------------------------------------------------------
     # Stuck-at engines
@@ -532,7 +533,8 @@ class FaultSimulator:
     def _propagate_np(self, seeds, good, mask):
         gates = self.netlist.gates
         evaluators = self._np_evaluators
-        consumers = self._np_consumers
+        consumers = self._consumers
+        topo = self._topo_position
         values = good.values
         faulty: Dict[int, object] = {}
         faulty_bytes: Dict[int, bytes] = {}
@@ -545,10 +547,10 @@ class FaultSimulator:
             if raw != good.row_bytes(gate_index):
                 faulty[gate_index] = word
                 faulty_bytes[gate_index] = raw
-                for entry in consumers[gate_index]:
-                    if entry[1] not in enqueued:
-                        enqueued.add(entry[1])
-                        heappush(heap, entry)
+                for consumer in consumers[gate_index]:
+                    if consumer not in enqueued:
+                        enqueued.add(consumer)
+                        heappush(heap, (topo[consumer], consumer))
 
         while heap:
             _, gate_index = heappop(heap)
@@ -568,10 +570,10 @@ class FaultSimulator:
                 continue
             faulty[gate_index] = word
             faulty_bytes[gate_index] = raw
-            for entry in consumers[gate_index]:
-                if entry[1] not in enqueued:
-                    enqueued.add(entry[1])
-                    heappush(heap, entry)
+            for consumer in consumers[gate_index]:
+                if consumer not in enqueued:
+                    enqueued.add(consumer)
+                    heappush(heap, (topo[consumer], consumer))
         self._events_propagated += events
         self._words_evaluated += events
         return faulty
@@ -583,7 +585,7 @@ class FaultSimulator:
         if fault.pin == OUTPUT_PIN:
             return {fault.gate: forced}
         gate = gates[fault.gate]
-        if gate.type == GateType.OUTPUT or gate.is_sequential:
+        if fault.gate in self._observation_gates:
             # Branch straight into an observation point: handled at readout.
             return {}
         inputs = [good.values[driver] for driver in gate.fanin]
@@ -594,9 +596,8 @@ class FaultSimulator:
     def _detection_word_np(self, fault: StuckAtFault, good, faulty, mask):
         """Lane-array twin of :meth:`_detection_word` (or ``None``).
 
-        Only readers present in the faulty map contribute — every other
-        reader XORs to zero — which replaces the all-readers loop that
-        dominates the python kernel's readout on replicated circuits.
+        Only readers present in the faulty map contribute, as in the
+        bigint readout.
         """
         diff = None
         values = good.values
@@ -606,14 +607,12 @@ class FaultSimulator:
                 diff = delta
             else:
                 diff |= delta
-        if fault.pin != OUTPUT_PIN:
-            gate = self.netlist.gates[fault.gate]
-            if gate.type == GateType.OUTPUT or gate.is_sequential:
-                np_kernel = self.parallel.np_kernel
-                forced = mask if fault.value else np_kernel.zero(good.n_patterns)
-                driver = gate.fanin[fault.pin]
-                delta = forced ^ values[driver]
-                diff = delta if diff is None else diff | delta
+        if fault.pin != OUTPUT_PIN and fault.gate in self._observation_gates:
+            np_kernel = self.parallel.np_kernel
+            forced = mask if fault.value else np_kernel.zero(good.n_patterns)
+            driver = self.netlist.gates[fault.gate].fanin[fault.pin]
+            delta = forced ^ values[driver]
+            diff = delta if diff is None else diff | delta
         if diff is not None:
             diff &= mask
         return diff
@@ -762,14 +761,12 @@ class FaultSimulator:
                     (faulty.get(reader, good[reader]) ^ good[reader]) & mask
                 )
             # Direct observation of branch-into-observation faults.
-            if fault.pin != OUTPUT_PIN:
-                gate = self.netlist.gates[fault.gate]
-                if gate.type == GateType.OUTPUT or gate.is_sequential:
-                    forced = mask if fault.value else 0
-                    driver = gate.fanin[fault.pin]
-                    position = self._direct_reader_position(fault.gate)
-                    if position is not None:
-                        per_output_diff[position] |= (forced ^ good[driver]) & mask
+            if fault.pin != OUTPUT_PIN and fault.gate in self._observation_gates:
+                forced = mask if fault.value else 0
+                driver = self.netlist.gates[fault.gate].fanin[fault.pin]
+                position = self._direct_reader_position(fault.gate)
+                if position is not None:
+                    per_output_diff[position] |= (forced ^ good[driver]) & mask
             for bit in range(n):
                 failing = tuple(
                     position
@@ -902,10 +899,7 @@ class FaultSimulator:
                 if forced_b != value_b:
                     seeds[fault.net_b] = forced_b
                 faulty = self._propagate(seeds, good, mask) if seeds else {}
-                diff = 0
-                for reader in self._readers:
-                    diff |= faulty.get(reader, good[reader]) ^ good[reader]
-                diff &= mask
+                diff = self._reader_diff(good, faulty) & mask
                 if diff:
                     first_bit = (diff & -diff).bit_length() - 1
                     if fault not in result.detected:
