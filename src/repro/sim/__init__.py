@@ -4,7 +4,6 @@ from .chaos import ChaosPlan, HostChaosInjection, HostChaosPlan
 from .dispatch import (
     BACKEND_NAMES,
     FaultSimBackend,
-    PoolBackend,
     PpsfpBackend,
     SerialBackend,
     get_backend,
@@ -22,7 +21,7 @@ from .store import (
     read_store_progress,
     validate_store_args,
 )
-from .supervisor import SupervisedPoolBackend, SupervisorConfig
+from .supervisor import PoolBackend, SupervisedPoolBackend, SupervisorConfig
 from .goodcache import DEFAULT_CACHE, GoodMachineCache
 from .logicsim import LogicSimulator
 from .seqfaultsim import LANES_PER_WORD, SequentialFaultSimulator

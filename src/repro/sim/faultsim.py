@@ -9,10 +9,12 @@ Three stuck-at engines are provided, matching the E3 experiment:
   simulated once per word, each fault then propagated event-wise through
   its fanout cone only.  With fault dropping this is the production
   algorithm every commercial fault simulator uses.
-* **pool** — the PPSFP kernel sharded across a :mod:`multiprocessing` pool
-  (see :mod:`repro.sim.dispatch`): the collapsed fault list is partitioned
-  deterministically, each worker runs cone-limited PPSFP against a shared
-  good-machine response, and the partial results are min-merged.
+* **pool** / **supervised** — the PPSFP kernel sharded across forked
+  worker processes (see :mod:`repro.sim.dispatch` and
+  :mod:`repro.sim.supervisor`): the collapsed fault list is partitioned
+  deterministically, each worker runs cone-limited PPSFP against the
+  parent's good-machine response, and the partial results are
+  min-merged.
 
 Transition-delay (launch-on-capture pairs) and bridging faults reuse the
 same cone machinery.
@@ -397,38 +399,20 @@ class FaultSimulator:
         ``partitions`` control the deterministic fault sharding — results
         are identical for any worker count.
         """
-        if not isinstance(engine, str):
-            runner = lambda: engine.run(self, patterns, faults, drop=drop)
-            engine_name = type(engine).__name__
-        elif engine == "ppsfp":
-            runner = lambda: self._simulate_ppsfp(patterns, faults, drop)
-            engine_name = engine
-        elif engine == "serial":
-            runner = lambda: self._simulate_serial(patterns, faults, drop)
-            engine_name = engine
-        elif engine == "pool":
-            from .dispatch import PoolBackend
+        if isinstance(engine, str):
+            from .dispatch import get_backend
 
-            backend = PoolBackend(jobs=jobs, seed=seed, partitions=partitions)
-            runner = lambda: backend.run(self, patterns, faults, drop=drop)
-            engine_name = engine
-        elif engine == "supervised":
-            from .supervisor import SupervisedPoolBackend
-
-            backend = SupervisedPoolBackend(
-                jobs=jobs, seed=seed, partitions=partitions
-            )
-            runner = lambda: backend.run(self, patterns, faults, drop=drop)
+            backend = get_backend(engine, jobs=jobs, seed=seed, partitions=partitions)
             engine_name = engine
         else:
-            raise ValueError(f"unknown engine {engine!r}")
+            backend, engine_name = engine, type(engine).__name__
         # Span only multi-pattern runs: ATPG phase 2 / compression call in
         # here once per candidate cube, and a span per cube would drown the
         # tree.  Counters still accumulate for every run via _publish.
         if obs.current() is not None and len(patterns) > 1:
             with obs.span("faultsim", engine=engine_name, patterns=len(patterns)):
-                return self._publish(runner())
-        return self._publish(runner())
+                return self._publish(backend.run(self, patterns, faults, drop))
+        return self._publish(backend.run(self, patterns, faults, drop))
 
     def good_response(self, patterns: Sequence[Sequence[int]]) -> List[object]:
         """Good-machine response for every ``word_width`` chunk of ``patterns``.
@@ -474,9 +458,8 @@ class FaultSimulator:
         """PPSFP on the configured kernel.
 
         ``patterns`` may be ``None`` when ``good_chunks`` and ``n_patterns``
-        are given — worker partitions never re-pack patterns, so backends
-        fanning the good response out through shared memory do not ship the
-        pattern list at all.
+        are given — worker partitions grade against the parent's good
+        response and never re-pack patterns.
         """
         if self.kernel == "numpy":
             return self._simulate_ppsfp_np(

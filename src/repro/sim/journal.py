@@ -132,11 +132,6 @@ def deserialize_partial(line: Dict[str, object]) -> FaultSimResult:
     return partial
 
 
-# Backwards-compatible aliases (pre-store internal names).
-_serialize_partial = serialize_partial
-_deserialize_partial = deserialize_partial
-
-
 class CampaignJournal:
     """Append-only JSONL log of completed campaign partitions.
 

@@ -1,17 +1,23 @@
-"""Supervised multiprocess fault simulation: crash recovery, timeouts,
-poisoned-partition fallback, and checkpoint/resume.
+"""Supervised multiprocess fault simulation: the one fan-out runner, with
+crash recovery, timeouts, poisoned-partition fallback, and
+checkpoint/resume.
 
-:class:`repro.sim.dispatch.PoolBackend` is fast but brittle: one worker
-OOM-killed, crashed, or wedged takes the whole campaign with it, and an
-hours-long accelerator-scale run restarts from zero.  The tutorial's own
-thesis — AI chips must keep working when parts fail — applies to the
-test infrastructure too.  :class:`SupervisedPoolBackend` runs the same
-deterministic shards (same seeded partitioning, same min-merge, so a
-clean supervised run is bit-identical to ``pool`` and ``ppsfp``) under a
-supervisor that assumes workers *will* fail:
+:class:`SupervisedPoolBackend` grades the deterministic shards of
+:mod:`repro.sim.dispatch` (same seeded partitioning, same min-merge, so
+a clean run is bit-identical to ``ppsfp`` for any worker count) in
+forked worker processes.  Workers inherit the parent's compiled
+:class:`~repro.sim.faultsim.FaultSimulator` and its good-machine
+response by ``fork`` copy-on-write: nothing campaign-sized is pickled
+and no worker recompiles the netlist.  The ``pool`` backend name is this
+runner with its default configuration (:class:`PoolBackend`).
+
+An hours-long accelerator-scale campaign must not die with one worker.
+The tutorial's own thesis — AI chips must keep working when parts fail —
+applies to the test infrastructure too, so the supervisor assumes
+workers *will* fail:
 
 * **one process per partition** — failure isolation is the unit of work;
-  a dead or wedged worker loses exactly one shard, never the pool;
+  a dead or wedged worker loses exactly one shard, never the campaign;
 * **per-partition wall-clock deadline** — a hung worker is killed at
   ``timeout_s`` and its shard requeued;
 * **bounded retry with exponential backoff** — crashes, kills, injected
@@ -20,7 +26,7 @@ supervisor that assumes workers *will* fail:
 * **result validation** — every partial result must cover exactly its
   shard with in-range first-detection indices, so a worker returning
   structurally corrupt data is treated as a failure, not merged;
-* **poisoned-partition fallback** — a shard that exhausts its pool
+* **poisoned-partition fallback** — a shard that exhausts its worker
   retries is re-run inline in the parent (no fork, no pipe — the
   failure domain shrinks to the kernel itself);
 * **graceful degradation** — a shard that fails even inline is recorded
@@ -33,6 +39,10 @@ supervisor that assumes workers *will* fail:
   (``stats["journal_skipped"]``) — a killed campaign resumes
   bit-identically.
 
+The simulator holds compiled closures and does not pickle, so on
+platforms without ``fork`` the sharded backends raise and point at the
+single-process ``ppsfp`` backend instead.
+
 The failure modes are exercised deterministically by
 :mod:`repro.sim.chaos`; ``tests/test_supervisor.py`` asserts that the
 recovered merge is bit-identical to single-process PPSFP under every
@@ -44,8 +54,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.model import StuckAtFault
 from ..obs import MetricRegistry
@@ -63,7 +73,6 @@ from ..obs.events import (
     TIMEOUT,
     EventLog,
 )
-from . import shm
 from .chaos import (
     HOST_KILL_EXIT_CODE,
     KILL,
@@ -80,9 +89,18 @@ from .dispatch import (
     partition_metrics,
     validate_pool_args,
 )
-from .faultsim import FaultSimResult, FaultSimulator, _unique
+from .faultsim import FaultSimResult, _unique
 from .journal import CampaignJournal, CampaignKey
 from .store import Lease, ShardStore
+
+#: Recovery counters every campaign reports, zero when nothing failed.
+_RECOVERY_COUNTERS = (
+    "retries",
+    "worker_crashes",
+    "timeouts",
+    "invalid_results",
+    "inline_fallbacks",
+)
 
 
 @dataclass
@@ -148,25 +166,50 @@ def validate_partial(
     return None
 
 
-def _supervised_worker(conn, index, attempt, shard, drop, netlist,
-                       arena_spec, meta, chaos, good_chunks=None) -> None:
+def _fork_context():
+    """The ``fork`` start method, or an error naming the way out.
+
+    Workers receive the parent's simulator (compiled gate closures, which
+    do not pickle) and good-machine response as process arguments; only
+    ``fork`` hands them over without pickling.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platforms without fork
+        raise RuntimeError(
+            "the pool and supervised fault-sim backends need the 'fork' "
+            "start method, which this platform lacks; use the ppsfp "
+            "backend (single process, identical results)"
+        ) from None
+
+
+def _good_pass(simulator, patterns) -> Dict[str, object]:
+    """The parent's one good-machine pass: the per-chunk response every
+    worker grades against, and its ``words``/``hits``/``seconds`` cost."""
+    start = time.perf_counter()
+    parallel = simulator.parallel
+    passes0, hits0 = parallel.evaluations, parallel.cache_hits
+    chunks = simulator.good_response(patterns)
+    return {
+        "chunks": chunks,
+        "words": (parallel.evaluations - passes0) * parallel.num_scheduled,
+        "hits": parallel.cache_hits - hits0,
+        "seconds": time.perf_counter() - start,
+    }
+
+
+def _supervised_worker(conn, simulator, good_chunks, n_patterns, index,
+                       attempt, shard, drop, chaos) -> None:
     """Worker entry: grade one shard, send (status, payload), exit.
 
-    Runs in its own process; the netlist arrives by copy-on-write under
-    ``fork`` (pickled under ``spawn``), and the pattern matrix plus the
-    shared good-machine response are mapped read-only from the campaign
-    arena — one shared segment instead of one pickle per attempt.  Any
+    Runs in its own forked process.  ``simulator`` and ``good_chunks``
+    are the parent's objects, inherited copy-on-write: the worker neither
+    recompiles the netlist nor re-simulates the good machine.  Any
     exception — including injected chaos — is reported as an ``error``
     message so the supervisor need not wait for a timeout to learn about
-    it.  Workers never unlink the arena; the parent owns it.
-
-    Store-mode campaigns pass ``good_chunks`` directly (inherited by
-    ``fork`` copy-on-write) and no arena: a host-level ``kill`` injection
-    terminates the parent with ``os._exit``, which would leak any shared
-    segment the parent owned — with no arena there is nothing to leak.
+    it.
     """
     status, payload = "error", "worker exited without result"
-    n_patterns = meta["n_patterns"]
     try:
         log = EventLog()
         log.emit(
@@ -175,16 +218,6 @@ def _supervised_worker(conn, index, attempt, shard, drop, netlist,
         )
         if chaos is not None:
             chaos.execute_pre(index, attempt)
-        if arena_spec is not None:
-            # The arena (and with it every zero-copy good-block view) must
-            # outlive the simulation; the process exit reclaims the mapping.
-            _, good_chunks = shm.attach_campaign(arena_spec, meta)
-        simulator = FaultSimulator(
-            netlist,
-            word_width=meta["word_width"],
-            cache=None,
-            kernel=meta["kernel"],
-        )
         partial = simulator._simulate_ppsfp(
             None, shard, drop, good_chunks=good_chunks, n_patterns=n_patterns
         )
@@ -220,14 +253,43 @@ class _Slot:
     deadline: Optional[float]
 
 
+@dataclass
+class _Campaign:
+    """One run's shards and the bookkeeping both supervision loops share."""
+
+    universe: List[StuckAtFault]
+    shards: List[List[StuckAtFault]]
+    jobs: int
+    n_patterns: int
+    events: EventLog
+    start_time: float
+    counters: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_RECOVERY_COUNTERS, 0)
+    )
+    sources: Dict[int, str] = field(default_factory=dict)
+    attempts_used: Dict[int, int] = field(default_factory=dict)
+    metrics_lost: Dict[int, int] = field(default_factory=dict)
+    failed: List[Dict[str, object]] = field(default_factory=list)
+    # (partition, attempt, eligible-at monotonic time)
+    pending: List[Tuple[int, int, float]] = field(default_factory=list)
+    journal_skipped: int = 0
+
+    @property
+    def faults_total(self) -> int:
+        return sum(len(shard) for shard in self.shards)
+
+
 class SupervisedPoolBackend(FaultSimBackend):
     """Fault-tolerant multiprocess PPSFP over deterministic partitions.
 
-    Drop-in alternative to :class:`~repro.sim.dispatch.PoolBackend`
-    (same ``jobs``/``seed``/``partitions`` semantics, bit-identical
-    results on a clean run) that survives worker crashes, hangs and
-    corrupt results, degrades gracefully instead of dying, and resumes
-    from a campaign journal.
+    ``jobs`` defaults to the machine's CPU count.  ``seed`` fixes the
+    partitioning shuffle; ``partitions`` overrides the automatic
+    partition count (both independent of ``jobs``, so the merged result
+    never depends on how many workers happened to run).  The runner
+    survives worker crashes, hangs and corrupt results, degrades
+    gracefully instead of dying, resumes from a campaign journal, and —
+    with ``store`` — shares one campaign among independently launched
+    runner processes.
     """
 
     name = "supervised"
@@ -264,110 +326,87 @@ class SupervisedPoolBackend(FaultSimBackend):
     # ------------------------------------------------------------------
 
     def run(self, simulator, patterns, faults, drop=True):
+        _fork_context()  # fail before any grading work where fork is missing
         if self.store is not None:
             return self._run_store(simulator, patterns, faults, drop)
+        # The supervisor's own telemetry (retry/kill/chaos instants and
+        # heartbeats), stitched with the workers' shipped logs.
+        campaign = self._campaign(faults, len(patterns), EventLog())
+        shards = campaign.shards
+
+        good = _good_pass(simulator, patterns)
+        good_chunks = good["chunks"]
+
+        results: Dict[int, FaultSimResult] = {}
+        if self.journal is not None and shards:
+            key = CampaignKey.build(
+                simulator.netlist, patterns, campaign.universe, self.seed,
+                len(shards), drop,
+            )
+            for index, partial in self.journal.begin(key).items():
+                if index >= len(shards):
+                    continue
+                if validate_partial(partial, shards[index], len(patterns)) is None:
+                    results[index] = partial
+                    campaign.sources[index] = "journal"
+                    campaign.journal_skipped += 1
+                    campaign.events.emit(
+                        JOURNAL_SKIP, "journal_skip", partition=index
+                    )
+
+        campaign.pending.extend(
+            (index, 0, 0.0) for index in range(len(shards)) if index not in results
+        )
+        if campaign.pending:
+            self._supervise(simulator, good_chunks, campaign, drop, results)
+
+        result = merge_results(
+            [results[i] for i in sorted(results)], campaign.universe,
+            len(patterns), drop,
+        )
+        self._fill_stats(result, results, campaign, simulator, good)
+        return result
+
+    def _campaign(self, faults, n_patterns: int, events: EventLog) -> _Campaign:
+        """Shard the universe: worker count, partition count, partitions."""
         start_time = time.perf_counter()
         universe = _unique(faults)
         jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
-        jobs = max(1, jobs)
         n_partitions = (
             self.partitions
             if self.partitions is not None
             else default_partition_count(len(universe))
         )
-        shards = partition_faults(universe, n_partitions, self.seed)
-
-        good_start = time.perf_counter()
-        parallel = simulator.parallel
-        passes0 = parallel.evaluations
-        # The campaign arena holds the packed pattern matrix and the
-        # good-machine response in one shared segment; the parent owns it
-        # and unlinks it in the ``finally`` below on every exit path —
-        # normal completion, poisoned shards, and KeyboardInterrupt.
-        arena, meta = shm.pack_campaign(simulator, patterns)
-        good_chunks = shm.good_chunks_from(arena, meta)
-        good_words = (parallel.evaluations - passes0) * parallel.num_scheduled
-        good_seconds = time.perf_counter() - good_start
-
-        counters = {
-            "retries": 0,
-            "worker_crashes": 0,
-            "timeouts": 0,
-            "invalid_results": 0,
-            "inline_fallbacks": 0,
-        }
-        sources: Dict[int, str] = {}
-        attempts_used: Dict[int, int] = {}
-        results: Dict[int, FaultSimResult] = {}
-        failed: List[Dict[str, object]] = []
-        metrics_lost: Dict[int, int] = {}
-        # The supervisor's own telemetry: retry/kill/chaos instants plus
-        # campaign heartbeats, stitched with the workers' shipped logs.
-        events = EventLog()
-
-        try:
-            journal_skipped = 0
-            if self.journal is not None and shards:
-                key = CampaignKey.build(
-                    simulator.netlist, patterns, universe, self.seed, len(shards), drop
-                )
-                for index, partial in self.journal.begin(key).items():
-                    if index >= len(shards):
-                        continue
-                    if validate_partial(partial, shards[index], len(patterns)) is None:
-                        results[index] = partial
-                        sources[index] = "journal"
-                        journal_skipped += 1
-                        events.emit(JOURNAL_SKIP, "journal_skip", partition=index)
-
-            pending = [
-                (index, 0, 0.0)  # (partition, attempt, eligible-at monotonic time)
-                for index in range(len(shards))
-                if index not in results
-            ]
-            if pending:
-                self._supervise(
-                    simulator, arena, meta, good_chunks, shards, drop, jobs,
-                    pending, results, failed, counters, sources, attempts_used,
-                    events, metrics_lost,
-                )
-        finally:
-            arena.destroy()
-
-        result = merge_results(
-            [results[i] for i in sorted(results)], universe, len(patterns), drop
+        return _Campaign(
+            universe=universe,
+            shards=partition_faults(universe, n_partitions, self.seed),
+            jobs=max(1, jobs),
+            n_patterns=n_patterns,
+            events=events,
+            start_time=start_time,
         )
-        self._fill_stats(
-            result, results, failed, shards, jobs, good_seconds, good_words,
-            start_time, counters, sources, attempts_used, journal_skipped,
-            simulator, events, metrics_lost,
-        )
-        return result
 
     # ------------------------------------------------------------------
     # Supervision loop
     # ------------------------------------------------------------------
 
-    def _supervise(
-        self, simulator, arena, meta, good_chunks, shards, drop, jobs, pending,
-        results, failed, counters, sources, attempts_used, events, metrics_lost,
-    ) -> None:
-        config = self.config
+    def _supervise(self, simulator, good_chunks, campaign, drop, results) -> None:
         running: List[_Slot] = []
-        n_patterns = meta["n_patterns"]
-        faults_total = sum(len(shard) for shard in shards)
+        shards = campaign.shards
+        pending = campaign.pending
+        faults_total = campaign.faults_total
 
         def record(index: int, partial: FaultSimResult, source: str, attempt: int):
             results[index] = partial
-            sources[index] = source
-            attempts_used[index] = attempt + 1
+            campaign.sources[index] = source
+            campaign.attempts_used[index] = attempt + 1
             if self.journal is not None:
                 self.journal.record(index, partial)
             # Campaign heartbeat on every shard flush: the live progress
             # gauges `repro obs tail` reads from the journal and the
             # trace exporter renders as a counter series.
             graded = sum(r.total_faults for r in results.values())
-            events.emit(
+            campaign.events.emit(
                 HEARTBEAT, "progress",
                 partition=index,
                 faults_graded=graded,
@@ -385,20 +424,10 @@ class SupervisedPoolBackend(FaultSimBackend):
                     partitions_total=len(shards),
                 )
 
-        def fail(slot: _Slot, reason: str) -> None:
-            attempt = slot.attempt
-            if attempt < config.max_retries:
-                counters["retries"] += 1
-                events.emit(
-                    RETRY, "retry",
-                    partition=slot.index, attempt=attempt, reason=reason[:200],
-                )
-                eligible = time.monotonic() + config.backoff_s * (2 ** attempt)
-                pending.append((slot.index, attempt + 1, eligible))
-                return
+        def poison(index: int, attempt: int, reason: str) -> None:
             self._finish_poisoned(
-                simulator, n_patterns, good_chunks, shards, drop, slot.index,
-                attempt, reason, record, failed, counters, events,
+                simulator, campaign, good_chunks, drop, index, attempt, reason,
+                record,
             )
 
         try:
@@ -406,22 +435,11 @@ class SupervisedPoolBackend(FaultSimBackend):
                 now = time.monotonic()
                 # Launch eligible shards into free slots, lowest index first.
                 pending.sort(key=lambda item: (item[2], item[0]))
-                while len(running) < jobs and pending and pending[0][2] <= now:
+                while len(running) < campaign.jobs and pending and pending[0][2] <= now:
                     index, attempt, _ = pending.pop(0)
-                    if self.chaos is not None:
-                        mode = self.chaos.mode_for(index, attempt)
-                        if mode is not None:
-                            # The parent knows the schedule, so the
-                            # injection lands on the timeline even when
-                            # the worker dies before reporting anything.
-                            events.emit(
-                                CHAOS, f"chaos:{mode}",
-                                partition=index, attempt=attempt, mode=mode,
-                            )
                     running.append(
                         self._spawn(
-                            simulator, arena, meta, shards[index],
-                            drop, index, attempt,
+                            campaign, simulator, good_chunks, drop, index, attempt
                         )
                     )
                 progressed = False
@@ -431,48 +449,9 @@ class SupervisedPoolBackend(FaultSimBackend):
                         continue
                     progressed = True
                     running.remove(slot)
-                    status, payload = outcome
-                    if status == "ok":
-                        reason = validate_partial(
-                            payload, shards[slot.index], n_patterns
-                        )
-                        if reason is None:
-                            record(slot.index, payload, "worker", slot.attempt)
-                        else:
-                            counters["invalid_results"] += 1
-                            metrics_lost[slot.index] = (
-                                metrics_lost.get(slot.index, 0) + 1
-                            )
-                            events.emit(
-                                INVALID, "invalid_result",
-                                partition=slot.index, attempt=slot.attempt,
-                                reason=reason,
-                            )
-                            fail(slot, f"invalid result: {reason}")
-                    else:
-                        # The attempt did real work whose metrics died
-                        # with the worker: note the loss so merged totals
-                        # can be reported as a stated lower bound.
-                        metrics_lost[slot.index] = (
-                            metrics_lost.get(slot.index, 0) + 1
-                        )
-                        if status == "timeout":
-                            counters["timeouts"] += 1
-                            events.emit(
-                                TIMEOUT, "timeout_kill",
-                                partition=slot.index, attempt=slot.attempt,
-                                deadline_s=self.config.timeout_s,
-                            )
-                        else:
-                            counters["worker_crashes"] += 1
-                            events.emit(
-                                CRASH, "worker_crash",
-                                partition=slot.index, attempt=slot.attempt,
-                                reason=str(payload)[:200],
-                            )
-                        fail(slot, payload)
+                    self._settle(campaign, slot, outcome, record, poison)
                 if not progressed:
-                    time.sleep(config.poll_interval_s)
+                    time.sleep(self.config.poll_interval_s)
         except BaseException:
             # KeyboardInterrupt or anything else: reap every child and
             # leave the journal durable before propagating.
@@ -481,22 +460,84 @@ class SupervisedPoolBackend(FaultSimBackend):
                 self.journal.flush()
             raise
 
-    def _spawn(self, simulator, arena, meta, shard, drop, index, attempt,
-               good_chunks=None):
-        """Start one worker process for one shard attempt.
+    def _settle(
+        self,
+        campaign: _Campaign,
+        slot: _Slot,
+        outcome: Tuple[str, object],
+        record: Callable[[int, FaultSimResult, str, int], None],
+        poison: Callable[[int, int, str], None],
+    ) -> None:
+        """Apply one finished worker attempt to the campaign.
 
-        ``arena`` may be ``None`` (store mode), in which case the caller
-        supplies ``good_chunks`` directly — free under ``fork`` (COW),
-        pickled through the process args on platforms without it.
+        A valid partial is recorded.  Anything else — an invalid partial,
+        a timeout kill, a crash or a reported error — is counted, put on
+        the timeline, and then either requeued with backoff or, once the
+        retries are spent, handed to ``poison``.
         """
-        context = self._context()
+        index, attempt = slot.index, slot.attempt
+        counters, events = campaign.counters, campaign.events
+        status, payload = outcome
+        if status == "ok":
+            reason = validate_partial(
+                payload, campaign.shards[index], campaign.n_patterns
+            )
+            if reason is None:
+                record(index, payload, "worker", attempt)
+                return
+            counters["invalid_results"] += 1
+            events.emit(
+                INVALID, "invalid_result",
+                partition=index, attempt=attempt, reason=reason,
+            )
+            reason = f"invalid result: {reason}"
+        elif status == "timeout":
+            counters["timeouts"] += 1
+            events.emit(
+                TIMEOUT, "timeout_kill",
+                partition=index, attempt=attempt,
+                deadline_s=self.config.timeout_s,
+            )
+            reason = payload
+        else:
+            counters["worker_crashes"] += 1
+            events.emit(
+                CRASH, "worker_crash",
+                partition=index, attempt=attempt, reason=str(payload)[:200],
+            )
+            reason = payload
+        # The attempt did real work whose metrics never arrived: note the
+        # loss so merged totals can be reported as a stated lower bound.
+        campaign.metrics_lost[index] = campaign.metrics_lost.get(index, 0) + 1
+        if attempt < self.config.max_retries:
+            counters["retries"] += 1
+            events.emit(
+                RETRY, "retry",
+                partition=index, attempt=attempt, reason=reason[:200],
+            )
+            eligible = time.monotonic() + self.config.backoff_s * (2 ** attempt)
+            campaign.pending.append((index, attempt + 1, eligible))
+            return
+        poison(index, attempt, reason)
+
+    def _spawn(self, campaign, simulator, good_chunks, drop, index, attempt):
+        """Start one forked worker process for one shard attempt."""
+        if self.chaos is not None:
+            mode = self.chaos.mode_for(index, attempt)
+            if mode is not None:
+                # The parent knows the schedule, so the injection lands on
+                # the timeline even when the worker dies before reporting.
+                campaign.events.emit(
+                    CHAOS, f"chaos:{mode}",
+                    partition=index, attempt=attempt, mode=mode,
+                )
+        context = _fork_context()
         parent_conn, child_conn = context.Pipe(duplex=False)
         process = context.Process(
             target=_supervised_worker,
             args=(
-                child_conn, index, attempt, shard, drop, simulator.netlist,
-                arena.spec if arena is not None else None, meta, self.chaos,
-                good_chunks,
+                child_conn, simulator, good_chunks, campaign.n_patterns,
+                index, attempt, campaign.shards[index], drop, self.chaos,
             ),
             daemon=True,
         )
@@ -515,6 +556,10 @@ class SupervisedPoolBackend(FaultSimBackend):
         Returns ``None`` (still running), ``("ok", partial)``,
         ``("timeout", reason)``, or ``("crash"/"error", reason)``.
         """
+        # Liveness first: a worker seen dead has finished every send, so
+        # the poll below cannot miss a result it shipped just before
+        # exiting (it would otherwise be misread as a crash).
+        alive = slot.process.is_alive()
         if slot.conn.poll():
             try:
                 status, payload = slot.conn.recv()
@@ -526,7 +571,7 @@ class SupervisedPoolBackend(FaultSimBackend):
             if status == "error":
                 return ("error", f"worker error: {payload}")
             return ("crash", "worker closed pipe without a result")
-        if not slot.process.is_alive():
+        if not alive:
             self._reap(slot)
             return (
                 "crash",
@@ -541,15 +586,16 @@ class SupervisedPoolBackend(FaultSimBackend):
         return None
 
     def _finish_poisoned(
-        self, simulator, n_patterns, good_chunks, shards, drop, index,
-        attempt, reason, record, failed, counters, events,
+        self, simulator, campaign, good_chunks, drop, index, attempt, reason,
+        record,
     ) -> None:
         """Pool retries exhausted: inline fallback, else mark failed."""
-        shard = shards[index]
+        shard = campaign.shards[index]
+        n_patterns = campaign.n_patterns
         if self.config.inline_fallback:
-            counters["inline_fallbacks"] += 1
+            campaign.counters["inline_fallbacks"] += 1
             inline_attempt = attempt + 1
-            events.emit(
+            campaign.events.emit(
                 INLINE_FALLBACK, "inline_fallback",
                 partition=index, attempt=inline_attempt, reason=reason[:200],
             )
@@ -575,7 +621,7 @@ class SupervisedPoolBackend(FaultSimBackend):
             except Exception as exc:
                 reason = f"inline fallback failed: {type(exc).__name__}: {exc}"
             attempt = inline_attempt
-        failed.append(
+        campaign.failed.append(
             {
                 "partition": index,
                 "faults": len(shard),
@@ -609,13 +655,9 @@ class SupervisedPoolBackend(FaultSimBackend):
         The single-runner path above owns its shards outright; here every
         shard is *claimed* from the store under a heartbeat-renewed lease,
         so any number of independently launched runner processes share the
-        campaign and steal from dead peers.  Three deliberate differences,
+        campaign and steal from dead peers.  Two deliberate differences,
         each load-bearing:
 
-        * no /dev/shm arena — the good-machine response reaches workers by
-          ``fork`` copy-on-write, because a host-level ``kill`` injection
-          exits with ``os._exit`` and would leak any segment this parent
-          owned;
         * grading runs in child processes, so this supervision loop stays
           free to renew leases however long a shard takes;
         * the final merge reads *only* the store's published result files —
@@ -623,52 +665,29 @@ class SupervisedPoolBackend(FaultSimBackend):
           result is bit-identical to every other's (and to a clean
           single-runner run) by construction.
         """
-        start_time = time.perf_counter()
         config = self.config
         store = self.store
-        universe = _unique(faults)
-        jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
-        jobs = max(1, jobs)
-        n_partitions = (
-            self.partitions
-            if self.partitions is not None
-            else default_partition_count(len(universe))
-        )
-        shards = partition_faults(universe, n_partitions, self.seed)
-        n_patterns = len(patterns)
+        # One timeline: lease events + supervision.
+        campaign = self._campaign(faults, len(patterns), store.events)
+        shards, n_patterns = campaign.shards, campaign.n_patterns
+        pending, sources = campaign.pending, campaign.sources
+        events = campaign.events
         key = CampaignKey.build(
-            simulator.netlist, patterns, universe, self.seed, len(shards), drop
+            simulator.netlist, patterns, campaign.universe, self.seed,
+            len(shards), drop,
         )
         store.initialize(key, len(shards))
-        events = store.events  # one timeline: lease events + supervision
         injection = (
             self.host_chaos.for_runner(store.runner_id)
             if self.host_chaos is not None
             else None
         )
-        meta = {
-            "n_patterns": n_patterns,
-            "word_width": simulator.word_width,
-            "kernel": simulator.kernel,
-        }
 
-        counters = {
-            "retries": 0,
-            "worker_crashes": 0,
-            "timeouts": 0,
-            "invalid_results": 0,
-            "inline_fallbacks": 0,
-        }
-        sources: Dict[int, str] = {}
-        attempts_used: Dict[int, int] = {}
-        metrics_lost: Dict[int, int] = {}
-        failed: List[Dict[str, object]] = []
         leases: Dict[int, Lease] = {}
         abandoned: set = set()
-        pending: List[Tuple[int, int, float]] = []
         running: List[_Slot] = []
         publish_queue: Dict[int, FaultSimResult] = {}
-        faults_total = sum(len(shard) for shard in shards)
+        faults_total = campaign.faults_total
         state = {
             "published": 0,       # store.publish calls that landed
             "wins": 0,            # ... that won first-write
@@ -681,19 +700,12 @@ class SupervisedPoolBackend(FaultSimBackend):
         # The good response is only computed when this runner actually
         # grades something: a runner that finds the campaign already
         # finished by peers pays nothing but the merge.
-        good_state: Dict[str, object] = {}
+        good: Dict[str, object] = {}
 
         def good_chunks():
-            if "chunks" not in good_state:
-                t0 = time.perf_counter()
-                parallel = simulator.parallel
-                passes0 = parallel.evaluations
-                good_state["chunks"] = simulator.good_response(patterns)
-                good_state["words"] = (
-                    (parallel.evaluations - passes0) * parallel.num_scheduled
-                )
-                good_state["seconds"] = time.perf_counter() - t0
-            return good_state["chunks"]
+            if not good:
+                good.update(_good_pass(simulator, patterns))
+            return good["chunks"]
 
         def store_reachable(now: float) -> bool:
             return not (
@@ -762,7 +774,7 @@ class SupervisedPoolBackend(FaultSimBackend):
         def record(index: int, partial: FaultSimResult, source: str,
                    attempt: int) -> None:
             sources[index] = source
-            attempts_used[index] = attempt + 1
+            campaign.attempts_used[index] = attempt + 1
             state["graded_faults"] += partial.total_faults
             worker_payload = partial.stats.get("worker_events")
             if worker_payload:
@@ -777,32 +789,21 @@ class SupervisedPoolBackend(FaultSimBackend):
                 return
             publish(index, partial)
 
-        def fail(slot: _Slot, reason: str) -> None:
-            attempt = slot.attempt
-            if attempt < config.max_retries:
-                counters["retries"] += 1
-                events.emit(
-                    RETRY, "retry",
-                    partition=slot.index, attempt=attempt, reason=reason[:200],
-                )
-                eligible = time.monotonic() + config.backoff_s * (2 ** attempt)
-                pending.append((slot.index, attempt + 1, eligible))
-                return
-            n_failed = len(failed)
+        def poison(index: int, attempt: int, reason: str) -> None:
+            n_failed = len(campaign.failed)
             self._finish_poisoned(
-                simulator, n_patterns, good_chunks(), shards, drop, slot.index,
-                attempt, reason, record, failed, counters, events,
+                simulator, campaign, good_chunks(), drop, index, attempt,
+                reason, record,
             )
-            if len(failed) > n_failed:
+            if len(campaign.failed) > n_failed:
                 # Locally poisoned: hand the shard back so a peer (with a
                 # healthier host) can try it; only if nobody can does the
                 # campaign degrade to a coverage lower bound.
-                lease = leases.pop(slot.index, None)
+                lease = leases.pop(index, None)
                 if lease is not None:
                     store.release(lease)
-                abandoned.add(slot.index)
+                abandoned.add(index)
 
-        journal_skipped = 0
         if self.journal is not None and shards:
             # Resume: journaled shards of this same campaign are published
             # straight to the store — no re-grading; first-write-wins makes
@@ -812,7 +813,7 @@ class SupervisedPoolBackend(FaultSimBackend):
                     continue
                 if validate_partial(partial, shards[index], n_patterns) is None:
                     sources[index] = "journal"
-                    journal_skipped += 1
+                    campaign.journal_skipped += 1
                     events.emit(JOURNAL_SKIP, "journal_skip", partition=index)
                     publish(index, partial)
 
@@ -843,43 +844,7 @@ class SupervisedPoolBackend(FaultSimBackend):
                     if outcome is None:
                         continue
                     running.remove(slot)
-                    status, payload = outcome
-                    if status == "ok":
-                        reason = validate_partial(
-                            payload, shards[slot.index], n_patterns
-                        )
-                        if reason is None:
-                            record(slot.index, payload, "worker", slot.attempt)
-                        else:
-                            counters["invalid_results"] += 1
-                            metrics_lost[slot.index] = (
-                                metrics_lost.get(slot.index, 0) + 1
-                            )
-                            events.emit(
-                                INVALID, "invalid_result",
-                                partition=slot.index, attempt=slot.attempt,
-                                reason=reason,
-                            )
-                            fail(slot, f"invalid result: {reason}")
-                    else:
-                        metrics_lost[slot.index] = (
-                            metrics_lost.get(slot.index, 0) + 1
-                        )
-                        if status == "timeout":
-                            counters["timeouts"] += 1
-                            events.emit(
-                                TIMEOUT, "timeout_kill",
-                                partition=slot.index, attempt=slot.attempt,
-                                deadline_s=self.config.timeout_s,
-                            )
-                        else:
-                            counters["worker_crashes"] += 1
-                            events.emit(
-                                CRASH, "worker_crash",
-                                partition=slot.index, attempt=slot.attempt,
-                                reason=str(payload)[:200],
-                            )
-                        fail(slot, payload)
+                    self._settle(campaign, slot, outcome, record, poison)
 
                 now = time.monotonic()
                 if publish_queue and store_reachable(now):
@@ -894,12 +859,12 @@ class SupervisedPoolBackend(FaultSimBackend):
                 if store_reachable(now):
                     busy = {slot.index for slot in running}
                     busy.update(item[0] for item in pending)
-                    if len(busy) < jobs:
+                    if len(busy) < campaign.jobs:
                         done = store.done_indices()
                         for index in self._claim_order(
                             len(shards), store.runner_id
                         ):
-                            if len(busy) >= jobs:
+                            if len(busy) >= campaign.jobs:
                                 break
                             if (
                                 index in done
@@ -917,7 +882,7 @@ class SupervisedPoolBackend(FaultSimBackend):
                             busy.add(index)
 
                 pending.sort(key=lambda item: (item[2], item[0]))
-                while len(running) < jobs and pending and pending[0][2] <= now:
+                while len(running) < campaign.jobs and pending and pending[0][2] <= now:
                     index, attempt, _ = pending.pop(0)
                     if store_reachable(now) and store.is_done(index):
                         # A peer finished it between claim and spawn
@@ -926,17 +891,10 @@ class SupervisedPoolBackend(FaultSimBackend):
                         if lease is not None:
                             store.release(lease)
                         continue
-                    if self.chaos is not None:
-                        mode = self.chaos.mode_for(index, attempt)
-                        if mode is not None:
-                            events.emit(
-                                CHAOS, f"chaos:{mode}",
-                                partition=index, attempt=attempt, mode=mode,
-                            )
                     running.append(
                         self._spawn(
-                            simulator, None, meta, shards[index], drop,
-                            index, attempt, good_chunks=good_chunks(),
+                            campaign, simulator, good_chunks(), drop,
+                            index, attempt,
                         )
                     )
 
@@ -989,16 +947,12 @@ class SupervisedPoolBackend(FaultSimBackend):
         for index in results:
             sources.setdefault(index, "peer")
         result = merge_results(
-            [results[i] for i in sorted(results)], universe, n_patterns, drop
+            [results[i] for i in sorted(results)], campaign.universe,
+            n_patterns, drop,
         )
-        counters["steals"] = store.steals
-        counters["publish_conflicts"] = store.publish_conflicts
-        self._fill_stats(
-            result, results, failed, shards, jobs,
-            good_state.get("seconds", 0.0), good_state.get("words", 0),
-            start_time, counters, sources, attempts_used, journal_skipped,
-            simulator, events, metrics_lost,
-        )
+        campaign.counters["steals"] = store.steals
+        campaign.counters["publish_conflicts"] = store.publish_conflicts
+        self._fill_stats(result, results, campaign, simulator, good)
         graded_here = sum(
             1 for source in sources.values() if source != "peer"
         )
@@ -1023,16 +977,6 @@ class SupervisedPoolBackend(FaultSimBackend):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _context():
-        # fork shares the parent's netlist for free (the patterns and good
-        # response ride the shared-memory arena either way); platforms
-        # without fork pickle the netlist through the Process args.
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context()
-
-    @staticmethod
     def _reap(slot: _Slot, kill: bool = False) -> None:
         if kill and slot.process.is_alive():
             slot.process.kill()
@@ -1054,16 +998,18 @@ class SupervisedPoolBackend(FaultSimBackend):
     # Stats
     # ------------------------------------------------------------------
 
-    def _fill_stats(
-        self, result, results, failed, shards, jobs, good_seconds, good_words,
-        start_time, counters, sources, attempts_used, journal_skipped,
-        simulator, events, metrics_lost,
-    ) -> None:
+    def _fill_stats(self, result, results, campaign, simulator, good) -> None:
+        """Fill ``result.stats`` for a merged campaign.
+
+        ``good`` is the parent's :func:`_good_pass` (empty when this
+        runner graded nothing).
+        """
+        metrics_lost = campaign.metrics_lost
         per_partition: List[Dict[str, object]] = []
         merged = MetricRegistry()
         event_payloads: List[Dict[str, object]] = []
-        if len(events):
-            event_payloads.append(events.to_payload())
+        if len(campaign.events):
+            event_payloads.append(campaign.events.to_payload())
         for index in sorted(results):
             partial = results[index]
             stats = partial.stats
@@ -1074,13 +1020,13 @@ class SupervisedPoolBackend(FaultSimBackend):
                 event_payloads.append(stats["worker_events"])
             row = {
                 "partition": index,
-                "faults": len(shards[index]),
+                "faults": len(campaign.shards[index]),
                 "detected": len(partial.detected),
                 "events_propagated": stats.get("events_propagated", 0),
                 "words_evaluated": stats.get("words_evaluated", 0),
                 "wall_time_s": stats.get("wall_time_s", 0.0),
-                "source": sources.get(index, "worker"),
-                "attempts": attempts_used.get(index, 1),
+                "source": campaign.sources.get(index, "worker"),
+                "attempts": campaign.attempts_used.get(index, 1),
             }
             if metrics_lost.get(index):
                 # Timeout-killed / crashed attempts did work whose
@@ -1095,14 +1041,15 @@ class SupervisedPoolBackend(FaultSimBackend):
             # the counters it undercuts: consumers see the totals are a
             # lower bound without cross-referencing the partition list.
             merged.counter("faultsim.metrics_lost_attempts").add(total_lost)
+        good_words = good.get("words", 0)
         result.stats.update(
             engine=self.name,
-            jobs=jobs,
+            jobs=campaign.jobs,
             seed=self.seed,
             word_width=simulator.word_width,
             kernel=simulator.kernel,
             faults_simulated=result.total_faults,
-            n_partitions=len(shards),
+            n_partitions=len(campaign.shards),
             partitions=per_partition,
             # Derived from the merged worker registries rather than the raw
             # partition list: the production totals ride the same
@@ -1111,12 +1058,13 @@ class SupervisedPoolBackend(FaultSimBackend):
             words_evaluated=good_words
             + merged.counter("faultsim.words_evaluated").value,
             good_words_evaluated=good_words,
+            good_cache_hits=good.get("hits", 0),
             load_imbalance=round(imbalance, 3),
-            good_response_s=good_seconds,
-            wall_time_s=time.perf_counter() - start_time,
-            journal_skipped=journal_skipped,
+            good_response_s=good.get("seconds", 0.0),
+            wall_time_s=time.perf_counter() - campaign.start_time,
+            journal_skipped=campaign.journal_skipped,
             metrics=merged.to_dict(),
-            **counters,
+            **campaign.counters,
         )
         if total_lost:
             result.stats["metrics_lost_attempts"] = total_lost
@@ -1125,6 +1073,15 @@ class SupervisedPoolBackend(FaultSimBackend):
             result.stats["events"] = event_payloads
         if self.journal is not None:
             result.stats["journal_path"] = self.journal.path
-        if failed:
-            result.stats["failed_partitions"] = failed
+        if campaign.failed:
+            result.stats["failed_partitions"] = campaign.failed
             result.stats["coverage_lower_bound"] = result.coverage
+
+
+class PoolBackend(SupervisedPoolBackend):
+    """The ``pool`` backend: the supervised runner with its defaults.
+
+    Kept as its own name so stats, spans and the CLI still say ``pool``.
+    """
+
+    name = "pool"

@@ -158,7 +158,7 @@ class TestKernelMatrix:
 
 
 class TestBackendMatrix:
-    """Multiprocess engines: every backend × kernel, shm fan-out included."""
+    """Multiprocess engines: every backend × kernel, forked fan-out included."""
 
     @pytest.mark.parametrize("name", CIRCUIT_NAMES)
     @pytest.mark.parametrize("kernel", KERNELS)

@@ -18,9 +18,9 @@ from repro.faults import (
     full_transition_list,
     sample_bridging_faults,
 )
+from repro.sim import PoolBackend
 from repro.sim.dispatch import (
     BACKEND_NAMES,
-    PoolBackend,
     default_partition_count,
     get_backend,
     merge_results,
@@ -147,6 +147,52 @@ class TestStatsInstrumentation:
         assert backend.jobs == 3 and backend.seed == 4
         with pytest.raises(ValueError):
             get_backend("gpu")
+
+
+class TestPoolDegradation:
+    """``pool`` runs on the supervised runner: a shard that fails every
+    attempt, inline fallback included, degrades the run to a stated
+    coverage lower bound instead of raising."""
+
+    @staticmethod
+    def _raise_everywhere(monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("shard kernel failed")
+
+        # Forked workers inherit the patched class, and so does the
+        # parent's inline fallback: every attempt of every shard fails.
+        monkeypatch.setattr(FaultSimulator, "_simulate_ppsfp", broken)
+
+    def test_every_shard_raising_returns_lower_bound(self, monkeypatch):
+        netlist = generators.random_circuit(6, 40, seed=7)
+        simulator = FaultSimulator(netlist)
+        faults = _universe(netlist)
+        patterns = random_patterns(simulator.view.num_inputs, 64, seed=7)
+        self._raise_everywhere(monkeypatch)
+        result = simulator.simulate(
+            patterns, faults, engine="pool", jobs=2, partitions=3
+        )
+        stats = result.stats
+        assert stats["engine"] == "pool"
+        failed = stats["failed_partitions"]
+        assert sorted(entry["partition"] for entry in failed) == [0, 1, 2]
+        assert all("ZeroDivisionError" in entry["reason"] for entry in failed)
+        assert stats["coverage_lower_bound"] == result.coverage == 0.0
+        assert result.detected == {}
+        assert len(result.undetected) == len(faults)
+
+    def test_cli_pool_exits_partial(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import EXIT_PARTIAL, main
+
+        pattern_file = str(tmp_path / "c17.pat")
+        assert main(["atpg", "c17", "-o", pattern_file, "--seed", "3"]) == 0
+        self._raise_everywhere(monkeypatch)
+        code = main(
+            ["fsim", "c17", pattern_file,
+             "--backend", "pool", "--jobs", "2", "--partitions", "2"]
+        )
+        assert code == EXIT_PARTIAL == 3
+        assert "LOWER BOUND" in capsys.readouterr().err
 
 
 class TestExplicitSubsetCoverage:

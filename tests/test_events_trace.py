@@ -198,7 +198,17 @@ class TestBackendEventWiring:
         result = simulator.simulate(
             patterns, faults, engine="pool", jobs=1, partitions=3
         )
-        assert len(result.stats["events"]) == 3
+        supervisor, *workers = result.stats["events"]
+        # One payload per partition, each carrying its own begin/end pair.
+        assert len(workers) == 3
+        for index, payload in enumerate(workers):
+            assert [e["kind"] for e in payload["events"]] == [
+                PARTITION_BEGIN, PARTITION_END,
+            ]
+            assert {e["partition"] for e in payload["events"]} == {index}
+        # The supervisor's own payload: one heartbeat per graded shard.
+        beats = [e for e in supervisor["events"] if e["kind"] == HEARTBEAT]
+        assert sorted(e["partition"] for e in beats) == [0, 1, 2]
 
 
 class TestMetricsLossAnnotation:

@@ -24,13 +24,17 @@ from repro.sim.journal import CampaignJournal
 from repro.sim.supervisor import (
     SupervisedPoolBackend,
     SupervisorConfig,
+    _Slot,
     validate_partial,
 )
 
 
-def _setup(n_inputs=6, n_gates=40, seed=7, n_patterns=96):
+KERNELS = ("python", "numpy")
+
+
+def _setup(n_inputs=6, n_gates=40, seed=7, n_patterns=96, kernel="python"):
     netlist = generators.random_circuit(n_inputs, n_gates, seed=seed)
-    simulator = FaultSimulator(netlist)
+    simulator = FaultSimulator(netlist, kernel=kernel)
     faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     patterns = random_patterns(simulator.view.num_inputs, n_patterns, seed=seed)
     reference = simulator.simulate(patterns, faults, engine="ppsfp")
@@ -85,8 +89,9 @@ class TestCleanRuns:
 
 
 class TestChaosRecovery:
-    def test_crash_recovered(self):
-        simulator, faults, patterns, reference = _setup()
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_crash_recovered(self, kernel):
+        simulator, faults, patterns, reference = _setup(kernel=kernel)
         backend = SupervisedPoolBackend(
             jobs=2, chaos=ChaosPlan.single(2, "crash", times=2)
         )
@@ -99,8 +104,9 @@ class TestChaosRecovery:
         )
         assert partition2["attempts"] == 3  # two crashes + one clean run
 
-    def test_hang_killed_and_recovered(self):
-        simulator, faults, patterns, reference = _setup()
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_hang_killed_and_recovered(self, kernel):
+        simulator, faults, patterns, reference = _setup(kernel=kernel)
         backend = SupervisedPoolBackend(
             jobs=2,
             chaos=ChaosPlan.single(1, "hang"),
@@ -154,8 +160,9 @@ class TestChaosRecovery:
 
 
 class TestGracefulDegradation:
-    def test_unrecoverable_partition_yields_partial_result(self):
-        simulator, faults, patterns, reference = _setup()
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_unrecoverable_partition_yields_partial_result(self, kernel):
+        simulator, faults, patterns, reference = _setup(kernel=kernel)
         backend = SupervisedPoolBackend(
             jobs=2,
             chaos=ChaosPlan.single(3, "crash", times=3),
@@ -201,6 +208,46 @@ class TestGracefulDegradation:
         failed = result.stats["failed_partitions"]
         assert len(failed) == 1 and failed[0]["partition"] == 0
         assert "injected crash" in failed[0]["reason"]
+
+
+class _ExitsDuringPoll:
+    """A worker that sends its result and exits right after the
+    supervisor's first empty poll of the pipe."""
+
+    def __init__(self):
+        self.exited = False
+        self.exitcode = None
+
+    # Pipe end.
+    def poll(self):
+        ready = self.exited
+        self.exited = True  # the send + exit lands between two checks
+        self.exitcode = 0
+        return ready
+
+    def recv(self):
+        return ("ok", "partial")
+
+    def close(self):
+        pass
+
+    # Process.
+    def is_alive(self):
+        return not self.exited
+
+    def join(self, timeout=None):
+        pass
+
+
+class TestPollSlot:
+    def test_result_shipped_just_before_exit_is_not_a_crash(self):
+        """A worker that exits between the pipe check and the liveness
+        check has already shipped its result: read it, don't retry."""
+        worker = _ExitsDuringPoll()
+        slot = _Slot(0, 0, worker, worker, deadline=None)
+        backend = SupervisedPoolBackend(jobs=1)
+        assert backend._poll_slot(slot, 0.0) is None  # still running
+        assert backend._poll_slot(slot, 0.0) == ("ok", "partial")
 
 
 class TestValidation:
@@ -284,9 +331,12 @@ class TestChaosPlan:
 
 
 class TestKeyboardInterruptTeardown:
-    def test_workers_reaped_and_journal_flushed(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_workers_reaped_and_journal_flushed(
+        self, kernel, tmp_path, monkeypatch
+    ):
         """An interrupt mid-campaign must kill children, keep the journal."""
-        simulator, faults, patterns, _ = _setup()
+        simulator, faults, patterns, _ = _setup(kernel=kernel)
         journal_path = tmp_path / "interrupted.jsonl"
         backend = SupervisedPoolBackend(
             jobs=1, partitions=4, journal=CampaignJournal(str(journal_path))
