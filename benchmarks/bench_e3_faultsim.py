@@ -7,7 +7,9 @@ a large factor.
 
 Regenerates: per circuit, wall time for serial vs PPSFP (both no-drop, for
 a fair per-work comparison) plus PPSFP with dropping and the multiprocess
-pool backend; identical detection sets double as a correctness check.
+pool backend, and the cone events each PPSFP run propagated (the work the
+fanout-free-region split removes); identical detection sets double as a
+correctness check.
 See ``bench_dispatch.py`` for the dedicated backend-scaling table.
 """
 
@@ -56,6 +58,8 @@ def _compare(name):
         "ppsfp_s": ppsfp_s,
         "ppsfp_drop_s": drop_s,
         f"pool{jobs}_s": pool_s,
+        "ppsfp_events": ppsfp.stats["events_propagated"],
+        "ppsfp_drop_events": dropped.stats["events_propagated"],
         "speedup_x": serial_s / ppsfp_s if ppsfp_s else float("inf"),
         "drop_speedup_x": serial_s / drop_s if drop_s else float("inf"),
     }

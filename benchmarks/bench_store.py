@@ -68,7 +68,7 @@ def _timed(backend, simulator, patterns, faults):
 def _campaign(size, n_patterns, work_dir, replicates):
     netlist, simulator, faults, patterns = _setup(size, n_patterns)
     reference = simulator.simulate(patterns, faults, drop=False)
-    shards = partition_faults(faults, PARTITIONS, 0)
+    shards = partition_faults(faults, PARTITIONS, 0, simulator.fault_region)
     key = CampaignKey.build(netlist, patterns, faults, 0, len(shards), False)
 
     rows = []

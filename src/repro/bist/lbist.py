@@ -125,7 +125,8 @@ class StumpsController:
                 all_patterns.extend(chunk)
                 sim = self.simulator.simulate(chunk, remaining, drop=True)
                 detected_total += len(sim.detected)
-                remaining = [f for f in remaining if f not in sim.detected]
+                # The survivors, in order: no per-chunk re-hash of the list.
+                remaining = sim.undetected
                 applied += chunk_size
                 result.coverage_points.append(
                     {
@@ -268,7 +269,7 @@ def run_weighted_lbist(
             )
             graded = simulator.simulate(chunk, remaining, drop=True)
             detected_total += len(graded.detected)
-            remaining = [f for f in remaining if f not in graded.detected]
+            remaining = graded.undetected
             applied += count
             result.coverage_points.append(
                 {

@@ -7,10 +7,11 @@ The dispatch layer decouples *what* is simulated (the PPSFP kernel in
 * :class:`PpsfpBackend` — single-process bit-parallel PPSFP.
 * ``pool`` and ``supervised`` — the multiprocess runner of
   :mod:`repro.sim.supervisor`.  The collapsed fault list is partitioned
-  here, deterministically (seeded shuffle + round-robin, partition count
-  independent of worker count); the good-machine response is computed
-  once in the parent, and each forked worker runs cone-limited PPSFP
-  over its partition against that response.  Partial results are
+  here, deterministically (seeded shuffle of whole fanout-free regions,
+  each placed on the least-loaded shard; partition count independent of
+  worker count); the good-machine response is computed once in the
+  parent, and each forked worker runs PPSFP over its partition against
+  that response.  Partial results are
   min-merged here, so first-detecting-pattern semantics survive sharding
   and the outcome is bit-identical to PPSFP for any number of workers.
 
@@ -26,9 +27,10 @@ lifetime is confined to one partition.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
 
 from ..circuit.netlist import Netlist
 from ..faults.model import StuckAtFault
@@ -79,26 +81,49 @@ def default_partition_count(n_faults: int) -> int:
     return min(n_faults, max(MIN_PARTITIONS, by_size))
 
 
+#: Identity of the sharding rule below, recorded in every
+#: :class:`~repro.sim.journal.CampaignKey`: journals and stores written
+#: under another rule (e.g. per-fault shards) hold different partitions
+#: and must be refused, not merged.
+SHARDING_SCHEME = "ffr"
+
+
 def partition_faults(
-    faults: Sequence[StuckAtFault], n_partitions: int, seed: int = 0
+    faults: Sequence[StuckAtFault],
+    n_partitions: int,
+    seed: int = 0,
+    region: Optional[Callable[[StuckAtFault], Hashable]] = None,
 ) -> List[List[StuckAtFault]]:
     """Shard ``faults`` into ``n_partitions`` deterministic partitions.
 
-    A seeded shuffle spreads structurally adjacent faults (which share
-    fanout cones and detection profiles) across partitions, then
-    round-robin assignment balances sizes to within one fault.  Given the
-    same seed and partition count the shards are identical on every run
-    and every worker count.
+    ``region`` maps a fault to its group — the runner passes
+    :meth:`FaultSimulator.fault_region`, so every fault of one
+    fanout-free region lands in one shard and the shards' work counters
+    sum exactly to the single-process run's (a region's stem is
+    propagated once per word for all of its faults).  Without it each
+    fault is its own group.  A seeded shuffle of the groups spreads
+    structurally adjacent logic across partitions; each group then goes
+    whole to the least-loaded partition (lowest index on ties), which
+    for single-fault groups is round-robin.  Given the same seed and
+    partition count the shards are identical on every run and every
+    worker count.
     """
     unique = _unique(faults)
     if not unique:
         return []
-    n = max(1, min(n_partitions, len(unique)))
-    order = list(range(len(unique)))
+    groups: Dict[Hashable, List[StuckAtFault]] = {}
+    for position, fault in enumerate(unique):
+        key = position if region is None else region(fault)
+        groups.setdefault(key, []).append(fault)
+    order = list(groups.values())
     random.Random(seed).shuffle(order)
+    n = max(1, min(n_partitions, len(order)))
     partitions: List[List[StuckAtFault]] = [[] for _ in range(n)]
-    for position, index in enumerate(order):
-        partitions[position % n].append(unique[index])
+    loads = [(0, index) for index in range(n)]
+    for group in order:
+        load, index = heapq.heappop(loads)
+        partitions[index].extend(group)
+        heapq.heappush(loads, (load + len(group), index))
     return partitions
 
 
@@ -117,6 +142,9 @@ def partition_metrics(partial: FaultSimResult) -> Dict[str, object]:
     registry.counter("faultsim.faults_detected").add(len(partial.detected))
     registry.counter("faultsim.events_propagated").add(
         stats.get("events_propagated", 0)
+    )
+    registry.counter("faultsim.stems_propagated").add(
+        stats.get("stems_propagated", 0)
     )
     registry.counter("faultsim.words_evaluated").add(
         stats.get("words_evaluated", 0)

@@ -6,31 +6,46 @@ Three stuck-at engines are provided, matching the E3 experiment:
   textbook baseline; trivially correct, painfully slow.
 * **ppsfp** — Parallel-Pattern Single-Fault Propagation: ``word_width``
   patterns per machine word (64 by default, up to 4096), good machine
-  simulated once per word, each fault then propagated event-wise through
-  its fanout cone only.  With fault dropping this is the production
+  simulated once per word.  Faults are graded by fanout-free region
+  (FFR, critical-path tracing after Abramovici et al., DAC 1983): each
+  fault's *local word* — the lanes where its effect reaches the root
+  (*stem*) of its FFR — comes from a backward bitwise sweep over the good
+  machine; each stem some fault activates is then propagated event-wise
+  through its fanout cone once, and a fault's detection word is its
+  local word AND its stem's.  With fault dropping this is the production
   algorithm every commercial fault simulator uses.
 * **pool** / **supervised** — the PPSFP kernel sharded across forked
   worker processes (see :mod:`repro.sim.dispatch` and
   :mod:`repro.sim.supervisor`): the collapsed fault list is partitioned
-  deterministically, each worker runs cone-limited PPSFP against the
-  parent's good-machine response, and the partial results are
+  deterministically, whole FFRs per shard, each worker runs PPSFP against
+  the parent's good-machine response, and the partial results are
   min-merged.
 
 Transition-delay (launch-on-capture pairs) and bridging faults reuse the
 same cone machinery.
 
 Every ``simulate*`` call fills :attr:`FaultSimResult.stats` with
-per-run instrumentation (faults simulated, cone events propagated, packed
-words evaluated, wall time) so benchmarks can report speedup and detect
-load imbalance without re-deriving counters.
+per-run instrumentation (faults simulated, cone events propagated, stems
+propagated, packed words evaluated, wall time) so benchmarks can report
+speedup and detect load imbalance without re-deriving counters.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import obs
 from ..circuit.gates import GateType, compile_parallel_evaluator, evaluate_parallel
@@ -83,8 +98,9 @@ class FaultSimResult:
     that caught it; ``undetected`` lists survivors.  ``coverage`` is the
     detected fraction of the simulated universe.  ``stats`` carries engine
     instrumentation: ``faults_simulated``, ``events_propagated``,
-    ``words_evaluated``, ``wall_time_s``, and for the pool backend a
-    ``partitions`` list with the same counters per worker partition.
+    ``stems_propagated``, ``words_evaluated``, ``wall_time_s``, and for
+    the pool backend a ``partitions`` list with the same counters per
+    worker partition.
     """
 
     total_faults: int
@@ -163,13 +179,18 @@ class FaultSimulator:
         # Lifetime instrumentation counters; simulate* methods snapshot
         # deltas into FaultSimResult.stats.
         self._events_propagated = 0
+        self._stems_propagated = 0
         self._words_evaluated = 0
+        # Fanout-free regions, built on first PPSFP use (see _regions).
+        self._ffr_next: Optional[List[Optional[int]]] = None
+        self._ffr_root: Optional[List[int]] = None
 
-    def _snapshot(self) -> Tuple[int, int, int, int, int, int, float]:
+    def _snapshot(self) -> Tuple[int, int, int, int, int, int, int, float]:
         parallel = self.parallel
         cache = parallel.cache
         return (
             self._events_propagated,
+            self._stems_propagated,
             self._words_evaluated,
             parallel.evaluations,
             parallel.cache_hits,
@@ -182,9 +203,9 @@ class FaultSimulator:
         self,
         result: FaultSimResult,
         engine: str,
-        since: Tuple[int, int, int, int, int, int, float],
+        since: Tuple[int, int, int, int, int, int, int, float],
     ) -> FaultSimResult:
-        events0, words0, passes0, hits0, misses0, evictions0, t0 = since
+        events0, stems0, words0, passes0, hits0, misses0, evictions0, t0 = since
         parallel = self.parallel
         cache = parallel.cache
         good_passes = parallel.evaluations - passes0
@@ -194,6 +215,7 @@ class FaultSimulator:
             word_width=self.word_width,
             faults_simulated=result.total_faults,
             events_propagated=self._events_propagated - events0,
+            stems_propagated=self._stems_propagated - stems0,
             words_evaluated=self._words_evaluated
             - words0
             + good_passes * parallel.num_scheduled,
@@ -239,6 +261,7 @@ class FaultSimulator:
                     for key in (
                         "faults_simulated",
                         "events_propagated",
+                        "stems_propagated",
                         "words_evaluated",
                     )
                     if key in stats
@@ -371,6 +394,53 @@ class FaultSimulator:
         return diff
 
     # ------------------------------------------------------------------
+    # Fanout-free regions
+    # ------------------------------------------------------------------
+
+    def _regions(self) -> Tuple[List[Optional[int]], List[int]]:
+        """Split the netlist into fanout-free regions (FFRs), once.
+
+        Returns ``(following, root)``: per gate, its single consumer
+        (``None`` for a stem) and the stem its region hangs off.
+
+        A gate is a *stem* unless its output reaches the rest of the
+        circuit through exactly one combinational fanin pin: observation
+        readers (PO and flop D drivers) are stems, and so is a gate
+        referenced by zero pins or by several, even of one consumer
+        (``AND(a, a)``).  Every other gate keeps its single consumer and
+        shares that consumer's root, so each region is a tree hanging off
+        its stem.
+        """
+        if self._ffr_root is not None:
+            return self._ffr_next, self._ffr_root
+        gates = self.netlist.gates
+        references = [0] * len(gates)
+        consumer: List[Optional[int]] = [None] * len(gates)
+        for gate in gates:
+            if gate.is_sequential:
+                continue
+            for driver in gate.fanin:
+                references[driver] += 1
+                consumer[driver] = gate.index
+        root = [gate.index for gate in gates]  # shares the index ints
+        for index in reversed(self.netlist.topo_order):
+            if references[index] != 1 or index in self._reader_set:
+                consumer[index] = None
+            else:
+                root[index] = root[consumer[index]]
+        self._ffr_next = consumer
+        self._ffr_root = root
+        return consumer, root
+
+    def fault_region(self, fault) -> int:
+        """The stem whose fanout-free region holds ``fault``'s site gate.
+
+        Faults of one region share their stem's propagation, so the
+        sharded backends keep each region in one partition.
+        """
+        return self._regions()[1][fault.gate]
+
+    # ------------------------------------------------------------------
     # Stuck-at engines
     # ------------------------------------------------------------------
 
@@ -455,63 +525,214 @@ class FaultSimulator:
         good_chunks: Optional[Sequence[object]] = None,
         n_patterns: Optional[int] = None,
     ) -> FaultSimResult:
-        """PPSFP on the configured kernel.
+        """PPSFP on the configured kernel, graded by fanout-free region.
 
         ``patterns`` may be ``None`` when ``good_chunks`` and ``n_patterns``
         are given — worker partitions grade against the parent's good
-        response and never re-pack patterns.
+        response and never re-pack patterns.  Only the word operations
+        differ by kernel (python bigints, or numpy uint64 lane rows from
+        :mod:`repro.sim.npsim`); both grade the same words in the same
+        order, so results and work counters are bit-identical.
         """
-        if self.kernel == "numpy":
-            return self._simulate_ppsfp_np(
-                patterns, faults, drop, good_chunks, n_patterns
-            )
         since = self._snapshot()
-        active = _unique(faults)
-        result = FaultSimResult(total_faults=len(active))
+        root = self._regions()[1]
+        universe = _unique(faults)
+        result = FaultSimResult(total_faults=len(universe))
+        # Region-major order (stable within a region), so one word holds
+        # the local words of one region at a time.
+        active = sorted(universe, key=lambda fault: root[fault.gate])
         width = self.word_width
         total = len(patterns) if patterns is not None else n_patterns
+        numpy = self.kernel == "numpy"
+        if numpy:
+            from . import npsim
+
+            np_kernel = self.parallel.np_kernel
+            bits = npsim.as_bit_matrix(patterns) if good_chunks is None else None
+            ops = _WordOps(
+                self._np_evaluators,
+                _any_lane,
+                npsim.first_pattern_bit,
+                self._propagate_np,
+                self._reader_diff_np,
+            )
+        else:
+            ops = _WordOps(
+                self._evaluators,
+                operator.truth,
+                _lowest_bit,
+                self._propagate,
+                self._reader_diff,
+            )
         for chunk_index, start in enumerate(range(0, total, width)):
             if drop and not active:
                 break
             n = min(width, total - start)
-            mask = (1 << n) - 1
-            if good_chunks is not None:
-                good = good_chunks[chunk_index]
+            good = good_chunks[chunk_index] if good_chunks is not None else None
+            if numpy:
+                mask, zero = np_kernel.mask(n), np_kernel.zero(n)
+                if good is None:
+                    good = self.parallel.evaluate_array(
+                        np_kernel.pack_block(bits[start : start + n]), n
+                    )
+                values = good.values
             else:
-                good = self.parallel.evaluate_words(
-                    self.parallel.pack_block(patterns[start : start + n]), n
-                )
-            survivors: List[StuckAtFault] = []
-            for fault in active:
-                seeds = self._stuck_at_seeds(fault, good, mask)
-                faulty = self._propagate(seeds, good, mask) if seeds else {}
-                detect = self._detection_word(fault, good, faulty, mask)
-                if detect:
-                    first_bit = (detect & -detect).bit_length() - 1
-                    if fault not in result.detected:
-                        result.detected[fault] = start + first_bit
-                    if not drop:
-                        survivors.append(fault)
-                else:
-                    survivors.append(fault)
-            active = survivors
+                mask, zero = (1 << n) - 1, 0
+                if good is None:
+                    good = self.parallel.evaluate_words(
+                        self.parallel.pack_block(patterns[start : start + n]), n
+                    )
+                values = good
+            caught = self._grade_word(
+                ops, good, values, mask, zero, start, active, result.detected
+            )
+            if drop and caught:
+                active = _without(active, caught)
             result.patterns_simulated = min(start + n, total)
-        result.undetected = [f for f in active if f not in result.detected]
+        result.undetected = [f for f in universe if f not in result.detected]
         if not drop:
             result.patterns_simulated = total
         return self._fill_stats(result, "ppsfp", since)
 
+    def _grade_word(
+        self, ops: "_WordOps", good, values, mask, zero, start: int,
+        active: Sequence[StuckAtFault], detected: Dict[object, int],
+    ) -> List[StuckAtFault]:
+        """Grade ``active`` (region-major) on one word.
+
+        Returns the faults the word detects, in ``active`` order; first
+        detections go into ``detected``.  Per region:
+
+        1. each fault's *local word*: the site difference (forced value
+           XOR good, or the site gate re-evaluated with the pin forced)
+           AND the lanes where it reaches the region's stem;
+        2. if the OR of local words is non-zero, the stem flipped on those
+           lanes only and propagated once through its cone;
+        3. a fault's detection word: its local word AND the stem's.
+
+        Lanes are independent and a region is a tree, so this is exactly
+        the per-fault faulty machine.  Local words live only while their
+        region is graded.
+        """
+        evaluators, nonzero = ops.evaluators, ops.nonzero
+        gates = self.netlist.gates
+        following, root = self._ffr_next, self._ffr_root
+        observation = self._observation_gates
+        paths: Dict[int, object] = {}  # one region's memo at a time
+        hits: List[object] = []  # flat (fault, word, through stem) triples
+        caught: List[StuckAtFault] = []
+        region = lanes = None
+        words = 0
+        for fault in active:
+            gate, pin = fault.gate, fault.pin
+            if root[gate] != region:
+                if hits:
+                    self._settle(
+                        ops, good, values, mask, start, region, lanes, hits,
+                        detected, caught,
+                    )
+                    hits = []
+                region, lanes = root[gate], None
+                paths.clear()
+            forced = mask if fault.value else zero
+            if pin == OUTPUT_PIN:
+                local = values[gate] ^ forced
+            elif gate in observation:
+                # A branch into a PO or flop is observed directly.
+                direct = forced ^ values[gates[gate].fanin[pin]]
+                if nonzero(direct):
+                    hits += (fault, direct, False)
+                continue
+            else:
+                inputs = [values[driver] for driver in gates[gate].fanin]
+                inputs[pin] = forced
+                local = evaluators[gate](inputs, mask) ^ values[gate]
+                words += 1
+            if not nonzero(local):
+                continue
+            if following[gate] is not None:
+                path = paths.get(gate)
+                if path is None:
+                    path = self._path_word(gate, paths, values, mask, ops)
+                local = local & path
+                if not nonzero(local):
+                    continue
+            hits += (fault, local, True)
+            lanes = local if lanes is None else lanes | local
+        if hits:
+            self._settle(
+                ops, good, values, mask, start, region, lanes, hits,
+                detected, caught,
+            )
+        self._words_evaluated += words
+        return caught
+
+    def _settle(
+        self, ops: "_WordOps", good, values, mask, start: int, stem: int,
+        lanes, hits: List[object], detected: Dict[object, int],
+        caught: List[StuckAtFault],
+    ) -> None:
+        """Finish one region on one word: propagate its stem on ``lanes``
+        (if any fault reaches it), then record each hit it detects."""
+        first_bit = ops.first_bit
+        if lanes is not None:
+            self._stems_propagated += 1
+            stem_word = ops.readout(
+                good, ops.propagate({stem: values[stem] ^ lanes}, good, mask)
+            )
+        triples = iter(hits)
+        for fault, word, through_stem in zip(triples, triples, triples):
+            if through_stem:
+                word = word & stem_word
+            bit = first_bit(word)
+            if bit is not None:
+                if fault not in detected:
+                    detected[fault] = start + bit
+                caught.append(fault)
+
+    def _path_word(
+        self, gate: int, paths: Dict[int, object], values, mask, ops: "_WordOps"
+    ):
+        """Lanes on which flipping ``gate`` flips its FFR stem.
+
+        The backward product, along the region's tree edges, of
+        ``eval(consumer with the pin flipped) ^ good[consumer]``,
+        memoised per gate in ``paths`` for the current word.  A stem's
+        own path is every lane; once a product is zero the gates below
+        it are not evaluated.
+        """
+        evaluators, nonzero = ops.evaluators, ops.nonzero
+        gates = self.netlist.gates
+        following = self._ffr_next
+        chain = []
+        while gate not in paths and following[gate] is not None:
+            chain.append(gate)
+            gate = following[gate]
+        word = paths.get(gate, mask)
+        for below in reversed(chain):
+            if nonzero(word):
+                consumer = following[below]
+                # ``below`` drives exactly one pin of its consumer.
+                flipped = values[below] ^ mask
+                inputs = [
+                    flipped if driver == below else values[driver]
+                    for driver in gates[consumer].fanin
+                ]
+                word = word & (evaluators[consumer](inputs, mask) ^ values[consumer])
+                self._words_evaluated += 1
+            paths[below] = word
+        return word
+
     # ------------------------------------------------------------------
-    # Numpy-kernel stuck-at PPSFP (repro.sim.npsim)
+    # Numpy-kernel cone propagation (repro.sim.npsim)
     # ------------------------------------------------------------------
     #
     # Structurally isomorphic to the bigint path above — same seeds, same
-    # event-driven cone propagation, same convergence rule — so detected
-    # maps, undetected order, patterns_simulated, AND the deterministic
-    # events/words counters are bit-identical between kernels (the
-    # conformance suite pins this).  Words are (n_lanes,) uint64 arrays;
-    # convergence compares raw row bytes (~10x cheaper than array_equal
-    # at these sizes).
+    # event-driven cone propagation, same convergence rule — so the
+    # deterministic events/words counters are bit-identical between
+    # kernels (the conformance suite pins this).  Words are (n_lanes,)
+    # uint64 arrays; convergence compares raw row bytes (~10x cheaper
+    # than array_equal at these sizes).
 
     def _propagate_np(self, seeds, good, mask):
         gates = self.netlist.gates
@@ -561,94 +782,13 @@ class FaultSimulator:
         self._words_evaluated += events
         return faulty
 
-    def _stuck_at_seeds_np(self, fault: StuckAtFault, good, mask):
-        gates = self.netlist.gates
-        np_kernel = self.parallel.np_kernel
-        forced = mask if fault.value else np_kernel.zero(good.n_patterns)
-        if fault.pin == OUTPUT_PIN:
-            return {fault.gate: forced}
-        gate = gates[fault.gate]
-        if fault.gate in self._observation_gates:
-            # Branch straight into an observation point: handled at readout.
-            return {}
-        inputs = [good.values[driver] for driver in gate.fanin]
-        inputs[fault.pin] = forced
-        self._words_evaluated += 1
-        return {fault.gate: self._np_evaluators[fault.gate](inputs, mask)}
-
-    def _detection_word_np(self, fault: StuckAtFault, good, faulty, mask):
-        """Lane-array twin of :meth:`_detection_word` (or ``None``).
-
-        Only readers present in the faulty map contribute, as in the
-        bigint readout.
-        """
-        diff = None
+    def _reader_diff_np(self, good, faulty):
+        """Lane-array twin of :meth:`_reader_diff` over a ``GoodBlock``."""
         values = good.values
+        diff = self.parallel.np_kernel.zero(good.n_patterns)
         for reader in faulty.keys() & self._reader_set:
-            delta = faulty[reader] ^ values[reader]
-            if diff is None:
-                diff = delta
-            else:
-                diff |= delta
-        if fault.pin != OUTPUT_PIN and fault.gate in self._observation_gates:
-            np_kernel = self.parallel.np_kernel
-            forced = mask if fault.value else np_kernel.zero(good.n_patterns)
-            driver = self.netlist.gates[fault.gate].fanin[fault.pin]
-            delta = forced ^ values[driver]
-            diff = delta if diff is None else diff | delta
-        if diff is not None:
-            diff &= mask
+            diff = diff | (faulty[reader] ^ values[reader])
         return diff
-
-    def _simulate_ppsfp_np(
-        self,
-        patterns: Optional[Sequence[Sequence[int]]],
-        faults: Iterable[StuckAtFault],
-        drop: bool,
-        good_chunks: Optional[Sequence[object]] = None,
-        n_patterns: Optional[int] = None,
-    ) -> FaultSimResult:
-        from . import npsim
-
-        since = self._snapshot()
-        active = _unique(faults)
-        result = FaultSimResult(total_faults=len(active))
-        width = self.word_width
-        np_kernel = self.parallel.np_kernel
-        total = len(patterns) if patterns is not None else n_patterns
-        bits = npsim.as_bit_matrix(patterns) if good_chunks is None else None
-        for chunk_index, start in enumerate(range(0, total, width)):
-            if drop and not active:
-                break
-            n = min(width, total - start)
-            mask = np_kernel.mask(n)
-            if good_chunks is not None:
-                good = good_chunks[chunk_index]
-            else:
-                good = self.parallel.evaluate_array(
-                    np_kernel.pack_block(bits[start : start + n]), n
-                )
-            survivors: List[StuckAtFault] = []
-            for fault in active:
-                seeds = self._stuck_at_seeds_np(fault, good, mask)
-                faulty = self._propagate_np(seeds, good, mask) if seeds else {}
-                diff = self._detection_word_np(fault, good, faulty, mask)
-                first_bit = (
-                    npsim.first_pattern_bit(diff) if diff is not None else None
-                )
-                if first_bit is not None:
-                    if fault not in result.detected:
-                        result.detected[fault] = start + first_bit
-                    if not drop:
-                        survivors.append(fault)
-                else:
-                    survivors.append(fault)
-            active = survivors
-            result.patterns_simulated = min(start + n, total)
-        result.undetected = [f for f in active if f not in result.detected]
-        if not drop:
-            result.patterns_simulated = total
-        return self._fill_stats(result, "ppsfp", since)
 
     def _simulate_serial(
         self,
@@ -916,3 +1056,36 @@ def _resolve_words(
     if fault.kind == "dom_b":
         return value_b, value_b
     raise ValueError(f"unknown bridging kind {fault.kind!r}")
+
+
+class _WordOps(NamedTuple):
+    """The word operations of one kernel; the PPSFP driver is shared."""
+
+    evaluators: Sequence[Callable]
+    nonzero: Callable[[object], bool]
+    first_bit: Callable[[object], Optional[int]]
+    propagate: Callable
+    readout: Callable
+
+
+def _without(faults: List[object], caught: List[object]) -> List[object]:
+    """``faults`` minus ``caught``, an in-order subsequence of it."""
+    survivors = []
+    pending = iter(caught)
+    next_caught = next(pending)
+    for fault in faults:
+        if fault is next_caught:
+            next_caught = next(pending, None)
+        else:
+            survivors.append(fault)
+    return survivors
+
+
+def _lowest_bit(word: int) -> Optional[int]:
+    """Index of the lowest set bit of a bigint word, or ``None``."""
+    return (word & -word).bit_length() - 1 if word else None
+
+
+def _any_lane(word) -> bool:
+    """Non-zero test for a numpy lane row."""
+    return word.any()

@@ -13,12 +13,12 @@ is bit-identical to an uninterrupted run.
 A journal file is a sequence of *sections*.  Each section starts with a
 ``header`` line carrying a :class:`CampaignKey` — the netlist's
 structural signature, digests of the pattern set and fault universe, the
-partition seed and count, and the drop flag — followed by ``partition``
-lines holding serialized per-shard results.  Results are only valid for
-an identical campaign, so resume matches the *whole* key; several
-campaigns (e.g. the random-phase batches and the verify pass of one
-``run_atpg`` flow) can safely share one file, each finding only its own
-sections.
+partition seed, count and sharding scheme, and the drop flag — followed
+by ``partition`` lines holding serialized per-shard results.  Results are
+only valid for an identical campaign, so resume matches the *whole* key;
+several campaigns (e.g. the random-phase batches and the verify pass of
+one ``run_atpg`` flow) can safely share one file, each finding only its
+own sections.
 
 Stuck-at faults serialize as ``[gate, pin, value]`` triples — the frozen
 dataclass round-trips losslessly through
@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..faults.model import StuckAtFault
+from .dispatch import SHARDING_SCHEME
 from .faultsim import FaultSimResult
 
 JOURNAL_VERSION = 1
@@ -42,7 +43,13 @@ JOURNAL_VERSION = 1
 #: Per-partition stats fields preserved through a journal round-trip.
 #: ``metrics`` is the worker's serialized metric registry (plain dicts,
 #: JSON-safe) so replayed partials merge into observations like fresh ones.
-_KEPT_STATS = ("events_propagated", "words_evaluated", "wall_time_s", "metrics")
+_KEPT_STATS = (
+    "events_propagated",
+    "stems_propagated",
+    "words_evaluated",
+    "wall_time_s",
+    "metrics",
+)
 
 
 class JournalMismatchError(ValueError):
@@ -69,7 +76,11 @@ def fault_digest(faults: Iterable[StuckAtFault]) -> str:
 
 @dataclass(frozen=True)
 class CampaignKey:
-    """Identity of one shardable campaign; journal entries bind to it."""
+    """Identity of one shardable campaign; journal entries bind to it.
+
+    ``sharding`` names the partitioning rule, so shards cut by another
+    rule never merge into this campaign.
+    """
 
     signature: str
     patterns: str
@@ -77,6 +88,7 @@ class CampaignKey:
     seed: int
     partitions: int
     drop: bool
+    sharding: str = SHARDING_SCHEME
 
     @classmethod
     def build(
@@ -200,7 +212,8 @@ class CampaignJournal:
             raise JournalMismatchError(
                 f"journal {self.path!r} holds {self._sections} section(s) but "
                 f"none match this campaign (circuit, patterns, fault universe, "
-                f"seed, and partition count must all be identical)"
+                f"seed, partition count and sharding scheme must all be "
+                f"identical)"
             )
         header = {"kind": "header", "version": JOURNAL_VERSION, "key": asdict(key)}
         if self.durable:

@@ -263,8 +263,9 @@ class ShardStore:
             raise StoreMismatchError(
                 f"store {self.root!r} belongs to a different campaign: "
                 f"{', '.join(mismatched)} differ(s) — the circuit, pattern "
-                f"file, fault universe, seed, partition count, and drop flag "
-                f"must all match the run that created the store"
+                f"file, fault universe, seed, partition count, sharding "
+                f"scheme and drop flag must all match the run that created "
+                f"the store"
             )
 
     def attach(self) -> Dict[str, object]:

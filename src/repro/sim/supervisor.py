@@ -331,7 +331,7 @@ class SupervisedPoolBackend(FaultSimBackend):
             return self._run_store(simulator, patterns, faults, drop)
         # The supervisor's own telemetry (retry/kill/chaos instants and
         # heartbeats), stitched with the workers' shipped logs.
-        campaign = self._campaign(faults, len(patterns), EventLog())
+        campaign = self._campaign(simulator, faults, len(patterns), EventLog())
         shards = campaign.shards
 
         good = _good_pass(simulator, patterns)
@@ -367,8 +367,14 @@ class SupervisedPoolBackend(FaultSimBackend):
         self._fill_stats(result, results, campaign, simulator, good)
         return result
 
-    def _campaign(self, faults, n_patterns: int, events: EventLog) -> _Campaign:
-        """Shard the universe: worker count, partition count, partitions."""
+    def _campaign(
+        self, simulator, faults, n_patterns: int, events: EventLog
+    ) -> _Campaign:
+        """Shard the universe: worker count, partition count, partitions.
+
+        Shards hold whole fanout-free regions, so their work counters sum
+        to the single-process run's.
+        """
         start_time = time.perf_counter()
         universe = _unique(faults)
         jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
@@ -379,7 +385,9 @@ class SupervisedPoolBackend(FaultSimBackend):
         )
         return _Campaign(
             universe=universe,
-            shards=partition_faults(universe, n_partitions, self.seed),
+            shards=partition_faults(
+                universe, n_partitions, self.seed, simulator.fault_region
+            ),
             jobs=max(1, jobs),
             n_patterns=n_patterns,
             events=events,
@@ -668,7 +676,7 @@ class SupervisedPoolBackend(FaultSimBackend):
         config = self.config
         store = self.store
         # One timeline: lease events + supervision.
-        campaign = self._campaign(faults, len(patterns), store.events)
+        campaign = self._campaign(simulator, faults, len(patterns), store.events)
         shards, n_patterns = campaign.shards, campaign.n_patterns
         pending, sources = campaign.pending, campaign.sources
         events = campaign.events
@@ -1055,6 +1063,7 @@ class SupervisedPoolBackend(FaultSimBackend):
             # partition list: the production totals ride the same
             # associative merge the observability layer guarantees.
             events_propagated=merged.counter("faultsim.events_propagated").value,
+            stems_propagated=merged.counter("faultsim.stems_propagated").value,
             words_evaluated=good_words
             + merged.counter("faultsim.words_evaluated").value,
             good_words_evaluated=good_words,

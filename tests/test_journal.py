@@ -9,6 +9,7 @@ from repro.circuit import benchmarks, generators
 from repro.faults import collapse_faults, full_fault_list
 from repro.faults.model import StuckAtFault
 from repro.sim.chaos import ChaosPlan
+from repro.sim.dispatch import SHARDING_SCHEME
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.journal import (
     CampaignJournal,
@@ -114,6 +115,24 @@ class TestRoundTrip:
             CampaignJournal(path, strict=True).begin(wrong_seed)
         # Non-strict: same mismatch just opens a fresh section.
         assert CampaignJournal(path).begin(wrong_seed) == {}
+
+    def test_per_fault_shard_journal_refused(self, tmp_path):
+        """Sections written before shards held whole fanout-free regions
+        name no sharding scheme.  Same seed and count, different shards:
+        resume must not merge them."""
+        netlist, simulator, faults, patterns = _setup()
+        key = CampaignKey.build(netlist, patterns, faults, 0, 4, True)
+        assert key.sharding == SHARDING_SCHEME
+        path = tmp_path / "per-fault.jsonl"
+        with CampaignJournal(str(path)) as journal:
+            journal.begin(key)
+            journal.record(0, simulator.simulate(patterns, faults[:3]))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        del lines[0]["key"]["sharding"]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert CampaignJournal(str(path)).completed_for(key) == {}
+        with pytest.raises(JournalMismatchError):
+            CampaignJournal(str(path), strict=True).begin(key)
 
 
 class TestDurability:

@@ -60,3 +60,55 @@ class TestSignature:
         faults, _ = collapse_faults(alu4, full_fault_list(alu4))
         result = StumpsController(alu4).run(64, faults=faults[:20])
         assert result.total_faults == 20
+
+
+def _filtered_loop(simulator, chunks, faults):
+    """The coverage loop as it used to pass survivors on: every chunk
+    re-filters the list by the chunk's detected map."""
+    remaining, detected_total, applied, curve = list(faults), 0, 0, []
+    for chunk in chunks:
+        sim = simulator.simulate(chunk, remaining, drop=True)
+        detected_total += len(sim.detected)
+        remaining = [f for f in remaining if f not in sim.detected]
+        applied += len(chunk)
+        curve.append(
+            {"patterns": float(applied), "coverage": detected_total / len(faults)}
+        )
+    return curve, remaining
+
+
+class TestSurvivorList:
+    """Each chunk grades the previous chunk's ``undetected`` list, which
+    must be exactly the filtered survivor list, in the same order."""
+
+    def test_stumps_run_unchanged(self):
+        netlist = generators.random_resistant(14, cones=3)
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        result = StumpsController(netlist).run(320, faults=faults)
+        replay = StumpsController(netlist)
+        chunks = [replay.generate_patterns(64) for _ in range(5)]
+        curve, remaining = _filtered_loop(replay.simulator, chunks, faults)
+        assert result.undetected  # survivors exist to be passed on
+        assert result.coverage_points == curve
+        assert result.undetected == remaining
+        assert result.signature == replay.good_signature(
+            [pattern for chunk in chunks for pattern in chunk]
+        )
+
+    def test_weighted_run_unchanged(self):
+        from repro.atpg.random_gen import weighted_random_patterns
+        from repro.bist.lbist import derive_input_weights, run_weighted_lbist
+        from repro.sim.faultsim import FaultSimulator
+
+        netlist = generators.random_resistant(12, cones=2)
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        result = run_weighted_lbist(netlist, 256, faults=faults, seed=1)
+        weights = derive_input_weights(netlist)
+        chunks = [
+            weighted_random_patterns(len(weights), 64, weights, seed=131 + applied)
+            for applied in range(0, 256, 64)
+        ]
+        curve, remaining = _filtered_loop(FaultSimulator(netlist), chunks, faults)
+        assert result.undetected
+        assert result.coverage_points == curve
+        assert result.undetected == remaining

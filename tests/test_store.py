@@ -133,6 +133,19 @@ class TestCampaignIdentity:
         assert "patterns" in message and "seed" in message
         assert "signature" not in message
 
+    def test_per_fault_shard_store_refused(self, tmp_path):
+        """A store pinned before shards held whole fanout-free regions has
+        no sharding scheme in its key: a different campaign."""
+        store = _store(tmp_path)
+        store.initialize(_key(), 4)
+        with open(store._campaign_path) as handle:
+            pinned = json.load(handle)
+        del pinned["key"]["sharding"]
+        with open(store._campaign_path, "w") as handle:
+            json.dump(pinned, handle)
+        with pytest.raises(StoreMismatchError, match="sharding"):
+            _store(tmp_path, runner="r1").initialize(_key(), 4)
+
     def test_shard_count_mismatch_rejected(self, tmp_path):
         _store(tmp_path).initialize(_key(), 4)
         with pytest.raises(StoreMismatchError, match="n_shards"):
