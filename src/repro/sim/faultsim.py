@@ -32,20 +32,10 @@ speedup and detect load imbalance without re-deriving counters.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..circuit.gates import GateType, compile_parallel_evaluator, evaluate_parallel
@@ -138,22 +128,12 @@ class FaultSimulator:
         netlist: Netlist,
         word_width: int = WORD_WIDTH,
         cache: object = goodcache.USE_DEFAULT,
-        kernel: str = "python",
     ):
         netlist.finalize()
         self.netlist = netlist
-        self.parallel = ParallelSimulator(
-            netlist, word_width=word_width, cache=cache, kernel=kernel
-        )
-        self.kernel = self.parallel.kernel
+        self.parallel = ParallelSimulator(netlist, word_width=word_width, cache=cache)
         self.word_width = self.parallel.word_width
         self.view = self.parallel.view
-        # Numpy-kernel cone evaluators (uint64 lane arrays); the python
-        # closures below are always compiled too — the serial engine and
-        # the transition/bridging flows stay on bigint words regardless of
-        # the kernel, and both kernels produce bit-identical results.
-        np_kernel = self.parallel.np_kernel
-        self._np_evaluators = np_kernel.evaluators if np_kernel is not None else None
         # Per-gate compiled evaluators for cone propagation: the gate-type
         # dispatch chain is resolved once here instead of once per event.
         self._evaluators = [
@@ -211,7 +191,6 @@ class FaultSimulator:
         good_passes = parallel.evaluations - passes0
         result.stats.update(
             engine=engine,
-            kernel=self.kernel,
             word_width=self.word_width,
             faults_simulated=result.total_faults,
             events_propagated=self._events_propagated - events0,
@@ -484,30 +463,15 @@ class FaultSimulator:
                 return self._publish(backend.run(self, patterns, faults, drop))
         return self._publish(backend.run(self, patterns, faults, drop))
 
-    def good_response(self, patterns: Sequence[Sequence[int]]) -> List[object]:
+    def good_response(self, patterns: Sequence[Sequence[int]]) -> List[List[int]]:
         """Good-machine response for every ``word_width`` chunk of ``patterns``.
 
-        One block per chunk — the shared response the pool backends compute
-        once and hand to every worker partition: a list of packed gate
-        words under the python kernel, a :class:`repro.sim.npsim.GoodBlock`
-        under the numpy kernel.  Chunks already in the good-machine cache
-        are served without a pass.
+        One list of packed gate words per chunk — the shared response the
+        pool backends compute once and hand to every worker partition.
+        Chunks already in the good-machine cache are served without a pass.
         """
-        chunks: List[object] = []
+        chunks: List[List[int]] = []
         width = self.word_width
-        if self.kernel == "numpy":
-            from . import npsim
-
-            np_kernel = self.parallel.np_kernel
-            bits = npsim.as_bit_matrix(patterns)
-            for start in range(0, len(bits), width):
-                chunk = bits[start : start + width]
-                chunks.append(
-                    self.parallel.evaluate_array(
-                        np_kernel.pack_block(chunk), len(chunk)
-                    )
-                )
-            return chunks
         for start in range(0, len(patterns), width):
             chunk = patterns[start : start + width]
             chunks.append(
@@ -522,17 +486,14 @@ class FaultSimulator:
         patterns: Optional[Sequence[Sequence[int]]],
         faults: Iterable[StuckAtFault],
         drop: bool,
-        good_chunks: Optional[Sequence[object]] = None,
+        good_chunks: Optional[Sequence[List[int]]] = None,
         n_patterns: Optional[int] = None,
     ) -> FaultSimResult:
-        """PPSFP on the configured kernel, graded by fanout-free region.
+        """PPSFP graded by fanout-free region.
 
         ``patterns`` may be ``None`` when ``good_chunks`` and ``n_patterns``
         are given — worker partitions grade against the parent's good
-        response and never re-pack patterns.  Only the word operations
-        differ by kernel (python bigints, or numpy uint64 lane rows from
-        :mod:`repro.sim.npsim`); both grade the same words in the same
-        order, so results and work counters are bit-identical.
+        response and never re-pack patterns.
         """
         since = self._snapshot()
         root = self._regions()[1]
@@ -543,48 +504,18 @@ class FaultSimulator:
         active = sorted(universe, key=lambda fault: root[fault.gate])
         width = self.word_width
         total = len(patterns) if patterns is not None else n_patterns
-        numpy = self.kernel == "numpy"
-        if numpy:
-            from . import npsim
-
-            np_kernel = self.parallel.np_kernel
-            bits = npsim.as_bit_matrix(patterns) if good_chunks is None else None
-            ops = _WordOps(
-                self._np_evaluators,
-                _any_lane,
-                npsim.first_pattern_bit,
-                self._propagate_np,
-                self._reader_diff_np,
-            )
-        else:
-            ops = _WordOps(
-                self._evaluators,
-                operator.truth,
-                _lowest_bit,
-                self._propagate,
-                self._reader_diff,
-            )
         for chunk_index, start in enumerate(range(0, total, width)):
             if drop and not active:
                 break
             n = min(width, total - start)
-            good = good_chunks[chunk_index] if good_chunks is not None else None
-            if numpy:
-                mask, zero = np_kernel.mask(n), np_kernel.zero(n)
-                if good is None:
-                    good = self.parallel.evaluate_array(
-                        np_kernel.pack_block(bits[start : start + n]), n
-                    )
-                values = good.values
+            if good_chunks is not None:
+                good = good_chunks[chunk_index]
             else:
-                mask, zero = (1 << n) - 1, 0
-                if good is None:
-                    good = self.parallel.evaluate_words(
-                        self.parallel.pack_block(patterns[start : start + n]), n
-                    )
-                values = good
+                good = self.parallel.evaluate_words(
+                    self.parallel.pack_block(patterns[start : start + n]), n
+                )
             caught = self._grade_word(
-                ops, good, values, mask, zero, start, active, result.detected
+                good, (1 << n) - 1, start, active, result.detected
             )
             if drop and caught:
                 active = _without(active, caught)
@@ -595,7 +526,7 @@ class FaultSimulator:
         return self._fill_stats(result, "ppsfp", since)
 
     def _grade_word(
-        self, ops: "_WordOps", good, values, mask, zero, start: int,
+        self, good: Sequence[int], mask: int, start: int,
         active: Sequence[StuckAtFault], detected: Dict[object, int],
     ) -> List[StuckAtFault]:
         """Grade ``active`` (region-major) on one word.
@@ -614,11 +545,11 @@ class FaultSimulator:
         the per-fault faulty machine.  Local words live only while their
         region is graded.
         """
-        evaluators, nonzero = ops.evaluators, ops.nonzero
+        evaluators = self._evaluators
         gates = self.netlist.gates
         following, root = self._ffr_next, self._ffr_root
         observation = self._observation_gates
-        paths: Dict[int, object] = {}  # one region's memo at a time
+        paths: Dict[int, int] = {}  # one region's memo at a time
         hits: List[object] = []  # flat (fault, word, through stem) triples
         caught: List[StuckAtFault] = []
         region = lanes = None
@@ -628,71 +559,65 @@ class FaultSimulator:
             if root[gate] != region:
                 if hits:
                     self._settle(
-                        ops, good, values, mask, start, region, lanes, hits,
-                        detected, caught,
+                        good, mask, start, region, lanes, hits, detected, caught
                     )
                     hits = []
                 region, lanes = root[gate], None
                 paths.clear()
-            forced = mask if fault.value else zero
+            forced = mask if fault.value else 0
             if pin == OUTPUT_PIN:
-                local = values[gate] ^ forced
+                local = good[gate] ^ forced
             elif gate in observation:
                 # A branch into a PO or flop is observed directly.
-                direct = forced ^ values[gates[gate].fanin[pin]]
-                if nonzero(direct):
+                direct = forced ^ good[gates[gate].fanin[pin]]
+                if direct:
                     hits += (fault, direct, False)
                 continue
             else:
-                inputs = [values[driver] for driver in gates[gate].fanin]
+                inputs = [good[driver] for driver in gates[gate].fanin]
                 inputs[pin] = forced
-                local = evaluators[gate](inputs, mask) ^ values[gate]
+                local = evaluators[gate](inputs, mask) ^ good[gate]
                 words += 1
-            if not nonzero(local):
+            if not local:
                 continue
             if following[gate] is not None:
                 path = paths.get(gate)
                 if path is None:
-                    path = self._path_word(gate, paths, values, mask, ops)
-                local = local & path
-                if not nonzero(local):
+                    path = self._path_word(gate, paths, good, mask)
+                local &= path
+                if not local:
                     continue
             hits += (fault, local, True)
             lanes = local if lanes is None else lanes | local
         if hits:
-            self._settle(
-                ops, good, values, mask, start, region, lanes, hits,
-                detected, caught,
-            )
+            self._settle(good, mask, start, region, lanes, hits, detected, caught)
         self._words_evaluated += words
         return caught
 
     def _settle(
-        self, ops: "_WordOps", good, values, mask, start: int, stem: int,
-        lanes, hits: List[object], detected: Dict[object, int],
+        self, good: Sequence[int], mask: int, start: int, stem: int,
+        lanes: Optional[int], hits: List[object], detected: Dict[object, int],
         caught: List[StuckAtFault],
     ) -> None:
         """Finish one region on one word: propagate its stem on ``lanes``
         (if any fault reaches it), then record each hit it detects."""
-        first_bit = ops.first_bit
         if lanes is not None:
             self._stems_propagated += 1
-            stem_word = ops.readout(
-                good, ops.propagate({stem: values[stem] ^ lanes}, good, mask)
+            stem_word = self._reader_diff(
+                good, self._propagate({stem: good[stem] ^ lanes}, good, mask)
             )
         triples = iter(hits)
         for fault, word, through_stem in zip(triples, triples, triples):
             if through_stem:
-                word = word & stem_word
-            bit = first_bit(word)
-            if bit is not None:
+                word &= stem_word
+            if word:
                 if fault not in detected:
-                    detected[fault] = start + bit
+                    detected[fault] = start + _lowest_bit(word)
                 caught.append(fault)
 
     def _path_word(
-        self, gate: int, paths: Dict[int, object], values, mask, ops: "_WordOps"
-    ):
+        self, gate: int, paths: Dict[int, int], good: Sequence[int], mask: int
+    ) -> int:
         """Lanes on which flipping ``gate`` flips its FFR stem.
 
         The backward product, along the region's tree edges, of
@@ -701,7 +626,7 @@ class FaultSimulator:
         own path is every lane; once a product is zero the gates below
         it are not evaluated.
         """
-        evaluators, nonzero = ops.evaluators, ops.nonzero
+        evaluators = self._evaluators
         gates = self.netlist.gates
         following = self._ffr_next
         chain = []
@@ -710,85 +635,18 @@ class FaultSimulator:
             gate = following[gate]
         word = paths.get(gate, mask)
         for below in reversed(chain):
-            if nonzero(word):
+            if word:
                 consumer = following[below]
                 # ``below`` drives exactly one pin of its consumer.
-                flipped = values[below] ^ mask
+                flipped = good[below] ^ mask
                 inputs = [
-                    flipped if driver == below else values[driver]
+                    flipped if driver == below else good[driver]
                     for driver in gates[consumer].fanin
                 ]
-                word = word & (evaluators[consumer](inputs, mask) ^ values[consumer])
+                word &= evaluators[consumer](inputs, mask) ^ good[consumer]
                 self._words_evaluated += 1
             paths[below] = word
         return word
-
-    # ------------------------------------------------------------------
-    # Numpy-kernel cone propagation (repro.sim.npsim)
-    # ------------------------------------------------------------------
-    #
-    # Structurally isomorphic to the bigint path above — same seeds, same
-    # event-driven cone propagation, same convergence rule — so the
-    # deterministic events/words counters are bit-identical between
-    # kernels (the conformance suite pins this).  Words are (n_lanes,)
-    # uint64 arrays; convergence compares raw row bytes (~10x cheaper
-    # than array_equal at these sizes).
-
-    def _propagate_np(self, seeds, good, mask):
-        gates = self.netlist.gates
-        evaluators = self._np_evaluators
-        consumers = self._consumers
-        topo = self._topo_position
-        values = good.values
-        faulty: Dict[int, object] = {}
-        faulty_bytes: Dict[int, bytes] = {}
-        heap: List[Tuple[int, int]] = []
-        enqueued = set()
-        events = 0
-
-        for gate_index, word in seeds.items():
-            raw = word.tobytes()
-            if raw != good.row_bytes(gate_index):
-                faulty[gate_index] = word
-                faulty_bytes[gate_index] = raw
-                for consumer in consumers[gate_index]:
-                    if consumer not in enqueued:
-                        enqueued.add(consumer)
-                        heappush(heap, (topo[consumer], consumer))
-
-        while heap:
-            _, gate_index = heappop(heap)
-            enqueued.discard(gate_index)
-            inputs = [
-                faulty[driver] if driver in faulty else values[driver]
-                for driver in gates[gate_index].fanin
-            ]
-            word = evaluators[gate_index](inputs, mask)
-            events += 1
-            raw = word.tobytes()
-            if raw == good.row_bytes(gate_index):
-                faulty.pop(gate_index, None)
-                faulty_bytes.pop(gate_index, None)
-                continue
-            if faulty_bytes.get(gate_index) == raw:
-                continue
-            faulty[gate_index] = word
-            faulty_bytes[gate_index] = raw
-            for consumer in consumers[gate_index]:
-                if consumer not in enqueued:
-                    enqueued.add(consumer)
-                    heappush(heap, (topo[consumer], consumer))
-        self._events_propagated += events
-        self._words_evaluated += events
-        return faulty
-
-    def _reader_diff_np(self, good, faulty):
-        """Lane-array twin of :meth:`_reader_diff` over a ``GoodBlock``."""
-        values = good.values
-        diff = self.parallel.np_kernel.zero(good.n_patterns)
-        for reader in faulty.keys() & self._reader_set:
-            diff = diff | (faulty[reader] ^ values[reader])
-        return diff
 
     def _simulate_serial(
         self,
@@ -962,9 +820,8 @@ class FaultSimulator:
                 detect = self._detection_word(stuck, good_capture, faulty, mask)
                 detect &= transition
                 if detect:
-                    first_bit = (detect & -detect).bit_length() - 1
                     if fault not in result.detected:
-                        result.detected[fault] = start + first_bit
+                        result.detected[fault] = start + _lowest_bit(detect)
                     if not drop:
                         survivors.append(fault)
                 else:
@@ -1024,9 +881,8 @@ class FaultSimulator:
                 faulty = self._propagate(seeds, good, mask) if seeds else {}
                 diff = self._reader_diff(good, faulty) & mask
                 if diff:
-                    first_bit = (diff & -diff).bit_length() - 1
                     if fault not in result.detected:
-                        result.detected[fault] = start + first_bit
+                        result.detected[fault] = start + _lowest_bit(diff)
                     if not drop:
                         survivors.append(fault)
                 else:
@@ -1058,16 +914,6 @@ def _resolve_words(
     raise ValueError(f"unknown bridging kind {fault.kind!r}")
 
 
-class _WordOps(NamedTuple):
-    """The word operations of one kernel; the PPSFP driver is shared."""
-
-    evaluators: Sequence[Callable]
-    nonzero: Callable[[object], bool]
-    first_bit: Callable[[object], Optional[int]]
-    propagate: Callable
-    readout: Callable
-
-
 def _without(faults: List[object], caught: List[object]) -> List[object]:
     """``faults`` minus ``caught``, an in-order subsequence of it."""
     survivors = []
@@ -1081,11 +927,6 @@ def _without(faults: List[object], caught: List[object]) -> List[object]:
     return survivors
 
 
-def _lowest_bit(word: int) -> Optional[int]:
-    """Index of the lowest set bit of a bigint word, or ``None``."""
-    return (word & -word).bit_length() - 1 if word else None
-
-
-def _any_lane(word) -> bool:
-    """Non-zero test for a numpy lane row."""
-    return word.any()
+def _lowest_bit(word: int) -> int:
+    """Index of the lowest set bit of a non-zero word."""
+    return (word & -word).bit_length() - 1

@@ -49,13 +49,9 @@ class GoodMachineCache:
         return len(self._entries)
 
     @staticmethod
-    def _entry_bytes(words, n_patterns: int) -> int:
-        # Numpy-kernel blocks (repro.sim.npsim.GoodBlock) know their exact
-        # array size; bigint lists are estimated — a CPython int costs ~28
-        # bytes plus its payload, and the list adds one pointer per element.
-        nbytes = getattr(words, "nbytes", None)
-        if nbytes is not None:
-            return nbytes + 64
+    def _entry_bytes(words: List[int], n_patterns: int) -> int:
+        # An estimate: a CPython int costs ~28 bytes plus its payload, and
+        # the list adds one pointer per element.
         return len(words) * (36 + n_patterns // 8) + 64
 
     def get(self, key: CacheKey) -> Optional[List[int]]:

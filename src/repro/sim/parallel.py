@@ -42,26 +42,9 @@ from .view import CombinationalView
 WORD_WIDTH = 64
 
 #: The supported word-width ladder.  Any positive width works; these are the
-#: sizes the benchmarks characterize.  Beyond 4096 the bigint ops dominate
-#: the python kernel and the per-gate amortization has nothing left to win —
-#: the numpy kernel (``kernel="numpy"``) keeps scaling there (E3 extends the
-#: ladder to 8192/16384 on it).
+#: sizes the benchmarks characterize.  Past 4096 a full fault list still
+#: runs no slower (EXPERIMENTS.md, E3: 16384 vs 4096 on mac4_x16).
 WORD_WIDTHS = (64, 256, 1024, 4096)
-
-#: The selectable simulation kernels: ``"python"`` packs patterns into
-#: Python bigints (one word per signal), ``"numpy"`` into uint64 lane
-#: arrays (:mod:`repro.sim.npsim`).  Results are bit-identical; numpy wins
-#: at wide words on replicated circuits, python at narrow words and on
-#: single-pattern flows (PODEM verify, serial engine).
-KERNELS = ("python", "numpy")
-
-
-def validate_kernel(kernel: str) -> str:
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of {', '.join(KERNELS)}"
-        )
-    return kernel
 
 
 def pack_patterns(patterns: Sequence[Sequence[int]], position: int) -> int:
@@ -173,15 +156,12 @@ class ParallelSimulator:
         netlist: Netlist,
         word_width: int = WORD_WIDTH,
         cache: object = goodcache.USE_DEFAULT,
-        kernel: str = "python",
     ):
         if word_width < 1:
             raise ValueError(f"word_width must be positive, got {word_width}")
-        validate_kernel(kernel)
         netlist.finalize()
         self.netlist = netlist
         self.word_width = word_width
-        self.kernel = kernel
         self.view = CombinationalView(netlist)
         # The evaluation schedule, kept in tuple form for introspection...
         self._schedule = [
@@ -203,14 +183,6 @@ class ParallelSimulator:
         self.evaluations = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        #: The compiled numpy engine, present only under ``kernel="numpy"``
-        #: (the python closures above are always built — they are cheap and
-        #: the serial/transition/bridging paths stay on bigint words).
-        self.np_kernel = None
-        if kernel == "numpy":
-            from . import npsim
-
-            self.np_kernel = npsim.NumpyKernel(netlist, self.view, self._schedule)
 
     @property
     def cache(self) -> Optional[goodcache.GoodMachineCache]:
@@ -273,41 +245,6 @@ class ParallelSimulator:
             cache.put(key, words, n_patterns)
         return words
 
-    def evaluate_array(self, packed, n_patterns: int):
-        """Numpy-kernel twin of :meth:`evaluate_words`.
-
-        ``packed`` is the ``(num_inputs, n_lanes)`` uint64 lane matrix from
-        :meth:`repro.sim.npsim.NumpyKernel.pack_block`; returns a
-        :class:`repro.sim.npsim.GoodBlock` of all gate values, served from
-        (and stored into) the same good-machine cache as the bigint path —
-        the byte-content keys never collide with the tuple keys the python
-        kernel uses.  Treat the returned block as immutable.
-        """
-        kernel = self.np_kernel
-        if kernel is None:
-            raise RuntimeError("evaluate_array requires kernel='numpy'")
-        if n_patterns > self.word_width:
-            raise ValueError(f"at most {self.word_width} patterns per pass")
-        if packed.shape[0] != self.view.num_inputs:
-            raise ValueError(
-                f"expected {self.view.num_inputs} input rows, got {packed.shape[0]}"
-            )
-        cache = self._cache
-        key = None
-        if cache is not None:
-            mask = kernel.mask(n_patterns)
-            key = (self._signature, n_patterns, (packed & mask).tobytes())
-            cached = cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-        block = kernel.run_pass(packed, n_patterns)
-        self.evaluations += 1
-        if cache is not None:
-            cache.put(key, block, n_patterns)
-        return block
-
     def evaluate_batch(self, patterns: Sequence[Sequence[int]]) -> List[List[int]]:
         """Evaluate up to ``word_width`` patterns; one response vector each."""
         n_patterns = len(patterns)
@@ -321,25 +258,8 @@ class ParallelSimulator:
 
     def responses(self, patterns: Sequence[Sequence[int]]) -> List[List[int]]:
         """Evaluate any number of patterns, ``word_width`` at a time."""
-        if self.np_kernel is not None:
-            return self._responses_array(patterns)
         out: List[List[int]] = []
         width = self.word_width
         for start in range(0, len(patterns), width):
             out.extend(self.evaluate_batch(patterns[start : start + width]))
-        return out
-
-    def _responses_array(self, patterns: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Numpy-kernel responses: vectorized pack, pass, and unpack."""
-        from . import npsim
-
-        kernel = self.np_kernel
-        bits = npsim.as_bit_matrix(patterns)
-        readers = self.view.output_readers
-        out: List[List[int]] = []
-        width = self.word_width
-        for start in range(0, len(bits), width):
-            chunk = bits[start : start + width]
-            block = self.evaluate_array(kernel.pack_block(chunk), len(chunk))
-            out.extend(kernel.read_rows(block, readers).tolist())
         return out

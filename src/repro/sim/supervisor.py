@@ -1055,7 +1055,6 @@ class SupervisedPoolBackend(FaultSimBackend):
             jobs=campaign.jobs,
             seed=self.seed,
             word_width=simulator.word_width,
-            kernel=simulator.kernel,
             faults_simulated=result.total_faults,
             n_partitions=len(campaign.shards),
             partitions=per_partition,

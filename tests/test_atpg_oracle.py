@@ -1,6 +1,6 @@
 """Cross-engine ATPG equivalence oracle.
 
-The ATPG analogue of the backend × kernel conformance matrix: every
+The ATPG analogue of the backend × width conformance matrix: every
 deterministic engine (``podem``, ``dalg``, ``guided``, ``portfolio``)
 is audited over the seven conformance circuits plus hypothesis-generated
 netlists.

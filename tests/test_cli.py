@@ -25,6 +25,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "100.00%" in out
 
+    def test_deprecated_kernel_flag_changes_nothing(self, tmp_path, capsys):
+        """``--kernel`` is an accepted, ignored alias: there is one kernel."""
+        pattern_file = tmp_path / "c17.pat"
+        assert main(["atpg", "c17", "-o", str(pattern_file), "--seed", "3"]) == 0
+        capsys.readouterr()
+        outputs = []
+        for flags in ([], ["--kernel", "numpy"], ["--kernel", "python"]):
+            assert main(["faultsim", "c17", str(pattern_file), *flags]) == 0
+            coverage, stats = capsys.readouterr().out.splitlines()
+            # Drop the trailing wall time; coverage, detections and work
+            # counters must match exactly.
+            outputs.append((coverage, stats.rsplit(",", 1)[0]))
+        assert outputs[0][0].startswith("22/22 faults detected")
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     @pytest.mark.parametrize("engine", ["podem", "dalg", "guided", "portfolio"])
     def test_atpg_engine_selection(self, tmp_path, capsys, engine):
         pattern_file = tmp_path / f"c17_{engine}.pat"

@@ -1,19 +1,24 @@
-"""Cross-backend × cross-kernel conformance oracle.
+"""Cross-backend conformance oracle.
 
-Single source of truth for the dispatch/kernel contract: every
-fault-simulation backend (``serial``, ``ppsfp``, ``pool``,
-``supervised``) × every gate-evaluation kernel (``python`` bigints,
-``numpy`` uint64 lanes) × every word width must produce *bit-identical*
-results — the same ``detected`` map (same first-detection pattern
-indices), the same ``undetected`` list, the same coverage — and, within
-one engine family, identical deterministic work counters
-(``events_propagated``, ``words_evaluated``, ``good_passes``).
+Single source of truth for the dispatch contract: every fault-simulation
+backend (``serial``, ``ppsfp``, ``pool``, ``supervised``) × every word
+width × every pattern source must produce *bit-identical* results — the
+same ``detected`` map (same first-detection pattern indices), the same
+``undetected`` list, the same coverage — and, within one engine family,
+identical deterministic work counters (``events_propagated``,
+``words_evaluated``, ``good_passes``).
 
-The oracle is the python-kernel single-process PPSFP engine at the
-default 64-bit width.  Everything else is measured against it (detection
-maps are width- and engine-invariant) or against the python kernel at
-the same width (counters are width-dependent by design, kernel-invariant
-by contract).
+A pattern source is the container the patterns arrive in: python lists,
+or a numpy ``uint8`` bit matrix (what callers of the former numpy lane
+kernel handed over).  The one bigint kernel must grade both alike.
+
+The oracle is single-process PPSFP on python lists at the default
+64-bit width.  Everything else is measured against it (detection maps
+are width- and engine-invariant) or against the same run at the same
+width (counters are width-dependent by design, source-invariant by
+contract).  Good-machine responses are checked against the scalar
+4-valued :mod:`repro.sim.logicsim` simulator, which shares no code with
+the packed kernel.
 
 This file replaces the scattered pairwise agreement checks that used to
 live in ``test_dispatch.py`` (backend × backend) and ``test_widesim.py``
@@ -23,6 +28,7 @@ and regression-pin tests.
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,7 +38,8 @@ from repro.circuit import benchmarks, generators
 from repro.faults import collapse_faults, full_fault_list
 from repro.sim.dispatch import BACKEND_NAMES
 from repro.sim.faultsim import FaultSimulator
-from repro.sim.parallel import KERNELS, WORD_WIDTH
+from repro.sim.logicsim import LogicSimulator
+from repro.sim.parallel import WORD_WIDTH, ParallelSimulator
 
 from tests.oracle_util import small_netlists
 
@@ -54,7 +61,10 @@ N_PATTERNS = 96
 #: two-assumption property alongside the characterized widths.
 WIDTHS = (64, 100, 256, 1024)
 
-#: Deterministic counters that must be kernel-invariant within an engine.
+#: How the patterns are handed over: python lists or a numpy bit matrix.
+SOURCES = ("python", "numpy")
+
+#: Deterministic counters that must be source-invariant within an engine.
 COUNTERS = ("events_propagated", "words_evaluated", "faults_simulated")
 
 
@@ -85,12 +95,13 @@ def _patterns(name):
     )
 
 
-def _simulate(name, engine, kernel, width, drop=True, jobs=None):
+def _simulate(name, engine, source, width, drop=True, jobs=None):
     netlist = _circuit(name)
-    simulator = FaultSimulator(
-        netlist, word_width=width, cache=None, kernel=kernel
-    )
-    patterns = [list(p) for p in _patterns(name)]
+    simulator = FaultSimulator(netlist, word_width=width, cache=None)
+    if source == "numpy":
+        patterns = np.array(_patterns(name), dtype=np.uint8)
+    else:
+        patterns = [list(p) for p in _patterns(name)]
     return simulator.simulate(
         patterns, list(_universe(name)), drop=drop, engine=engine, jobs=jobs
     )
@@ -98,14 +109,14 @@ def _simulate(name, engine, kernel, width, drop=True, jobs=None):
 
 @functools.lru_cache(maxsize=None)
 def _oracle(name, drop=True):
-    """Detection oracle: python-kernel PPSFP at the default 64-bit width."""
+    """Detection oracle: PPSFP on python lists at the default 64-bit width."""
     return _simulate(name, "ppsfp", "python", WORD_WIDTH, drop=drop)
 
 
 @functools.lru_cache(maxsize=None)
 def _counter_reference(name, width, drop=True):
     """Counter oracle at ``width``: counters are width-dependent by design
-    (chunk granularity), so kernel invariance is asserted per width."""
+    (chunk granularity), so source invariance is asserted per width."""
     return _simulate(name, "ppsfp", "python", width, drop=drop)
 
 
@@ -123,59 +134,57 @@ def _assert_counters(result, reference):
 
 
 class TestKernelMatrix:
-    """Single-process engines: full circuit × width × kernel cross product."""
+    """Single-process engines: full circuit × width × source cross product."""
 
     @pytest.mark.parametrize("name", CIRCUIT_NAMES)
     @pytest.mark.parametrize("width", WIDTHS)
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_ppsfp_matches_oracle(self, name, width, kernel):
-        result = _simulate(name, "ppsfp", kernel, width)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_ppsfp_matches_oracle(self, name, width, source):
+        result = _simulate(name, "ppsfp", source, width)
         _assert_detection(result, _oracle(name))
         _assert_counters(result, _counter_reference(name, width))
-        assert result.stats["kernel"] == kernel
         assert result.stats["good_passes"] == _counter_reference(
             name, width
         ).stats["good_passes"]
 
     @pytest.mark.parametrize("name", CIRCUIT_NAMES)
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_serial_matches_oracle(self, name, kernel):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_serial_matches_oracle(self, name, source):
         """Serial grades one fault at a time — its counters are its own,
-        but they too must be kernel-invariant, and its detection maps
+        but they too must be source-invariant, and its detection maps
         must equal the oracle's."""
-        result = _simulate(name, "serial", kernel, WORD_WIDTH)
+        result = _simulate(name, "serial", source, WORD_WIDTH)
         _assert_detection(result, _oracle(name))
         reference = _simulate(name, "serial", "python", WORD_WIDTH)
         for counter in COUNTERS:
             assert result.stats[counter] == reference.stats[counter], counter
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("width", (1, 7, 333))
-    def test_extreme_odd_widths(self, kernel, width):
-        """No power-of-two (or lane-multiple) assumption anywhere."""
-        result = _simulate("c17", "ppsfp", kernel, width)
+    def test_extreme_odd_widths(self, source, width):
+        """No power-of-two assumption anywhere."""
+        result = _simulate("c17", "ppsfp", source, width)
         _assert_detection(result, _oracle("c17"))
 
 
 class TestBackendMatrix:
-    """Multiprocess engines: every backend × kernel, forked fan-out included."""
+    """Multiprocess engines: every backend × source, forked fan-out included."""
 
     @pytest.mark.parametrize("name", CIRCUIT_NAMES)
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("engine", ("pool", "supervised"))
-    def test_multiprocess_matches_oracle(self, name, kernel, engine):
-        result = _simulate(name, engine, kernel, 256, jobs=2)
+    def test_multiprocess_matches_oracle(self, name, source, engine):
+        result = _simulate(name, engine, source, 256, jobs=2)
         _assert_detection(result, _oracle(name))
         _assert_counters(result, _counter_reference(name, 256))
-        assert result.stats["kernel"] == kernel
         assert result.stats["word_width"] == 256
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("width", (64, 1024))
     @pytest.mark.parametrize("engine", ("pool", "supervised"))
-    def test_multiprocess_width_ladder(self, kernel, width, engine):
+    def test_multiprocess_width_ladder(self, source, width, engine):
         name = "rand8"
-        result = _simulate(name, engine, kernel, width, jobs=2)
+        result = _simulate(name, engine, source, width, jobs=2)
         _assert_detection(result, _oracle(name))
         _assert_counters(result, _counter_reference(name, width))
         assert result.stats["word_width"] == width
@@ -185,12 +194,12 @@ class TestNoDropConformance:
     """Without fault dropping every pattern is graded for every fault —
     the heaviest counter path, exact across the full matrix."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("engine", BACKEND_NAMES)
-    def test_no_drop_matches_oracle(self, kernel, engine):
+    def test_no_drop_matches_oracle(self, source, engine):
         name = "rand8"
         jobs = 2 if engine in ("pool", "supervised") else None
-        result = _simulate(name, engine, kernel, 256, drop=False, jobs=jobs)
+        result = _simulate(name, engine, source, 256, drop=False, jobs=jobs)
         _assert_detection(result, _oracle(name, drop=False))
         if engine != "serial":
             _assert_counters(
@@ -199,34 +208,31 @@ class TestNoDropConformance:
 
 
 class TestResponseConformance:
-    """Good-machine responses (not just detections) are kernel-invariant."""
+    """Good-machine responses (not just detections) equal the scalar
+    4-valued simulator's, pattern by pattern."""
 
     @pytest.mark.parametrize("name", CIRCUIT_NAMES)
     @pytest.mark.parametrize("width", (64, 256))
     def test_responses_identical(self, name, width):
-        from repro.sim.parallel import ParallelSimulator
-
         netlist = _circuit(name)
         patterns = [list(p) for p in _patterns(name)]
-        python = ParallelSimulator(
-            netlist, word_width=width, cache=None, kernel="python"
-        )
-        numpy = ParallelSimulator(
-            netlist, word_width=width, cache=None, kernel="numpy"
-        )
-        assert numpy.responses(patterns) == python.responses(patterns)
+        packed = ParallelSimulator(netlist, word_width=width, cache=None)
+        scalar = LogicSimulator(netlist)
+        assert packed.responses(patterns) == [
+            scalar.response(pattern) for pattern in patterns
+        ]
 
 
 class TestAtpgVectorConformance:
     """ATPG × fault-sim conformance: a cube any engine generates must
-    detect its target fault under *every* simulation kernel.
+    detect its target fault under both stuck-at graders, ``ppsfp`` (by
+    fanout-free region) and ``serial`` (full faulty-machine re-evaluation).
 
     This closes the loop between the two halves of the toolkit — if the
-    packed python kernel and the numpy uint64-lane kernel disagreed about
-    an ATPG vector, either the engine's implication or a kernel's fault
-    injection would be wrong.  Hypothesis drives structurally diverse
-    netlists (muxes, dangling cones, redundant logic) through all four
-    engines.
+    graders disagreed about an ATPG vector, either the engine's
+    implication or a grader's fault injection would be wrong.  Hypothesis
+    drives structurally diverse netlists (muxes, dangling cones,
+    redundant logic) through all four engines.
     """
 
     @settings(
@@ -243,10 +249,7 @@ class TestAtpgVectorConformance:
 
         netlist.finalize()
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-        simulators = {
-            kernel: FaultSimulator(netlist, cache=None, kernel=kernel)
-            for kernel in KERNELS
-        }
+        simulator = FaultSimulator(netlist, cache=None)
         fill_seed = data.draw(st.integers(min_value=0, max_value=2**16))
         for engine_name in ENGINE_NAMES:
             engine = make_engine(engine_name, netlist, backtrack_limit=256)
@@ -256,9 +259,11 @@ class TestAtpgVectorConformance:
                     continue
                 rng = _random.Random(fill_seed)
                 pattern = x_fill(outcome.cube, rng, "random")
-                for kernel, simulator in simulators.items():
-                    result = simulator.simulate([pattern], [fault], drop=True)
+                for grader in ("ppsfp", "serial"):
+                    result = simulator.simulate(
+                        [pattern], [fault], drop=True, engine=grader
+                    )
                     assert fault in result.detected, (
                         f"{engine_name} cube missed {fault.describe(netlist)} "
-                        f"under kernel={kernel}"
+                        f"under {grader}"
                     )

@@ -1,6 +1,6 @@
 """Dispatch-layer mechanics: partitioning, merging, stats, flow threading.
 
-The full cross-backend × cross-kernel × cross-width agreement matrix
+The full cross-backend × cross-width agreement matrix
 lives in ``test_conformance.py``; this file keeps what is specific to
 the dispatch layer itself — deterministic partitioning, min-merge
 semantics, degenerate edge cases (1 worker, 0 faults), stats

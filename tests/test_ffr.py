@@ -4,8 +4,8 @@
 from the fault site to its region's stem, one propagation per activated
 stem, and the AND of the two.  The oracle here is the ``serial`` engine
 (one fault, one pattern, whole-netlist re-evaluation), which knows
-nothing of regions.  Every check covers both kernels, fault dropping on
-and off, and word widths 1, 7 and 64 — 7 splits every pattern set into
+nothing of regions.  Every check covers fault dropping on and off, and
+word widths 1, 7 and 64 — 7 splits every pattern set into
 ragged words, so a region's stem lanes cross word boundaries.
 
 Circuits: the conformance set (all ≤16 test inputs), Hypothesis-drawn
@@ -24,14 +24,12 @@ from repro.circuit.builder import NetlistBuilder
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
 from repro.sim.dispatch import partition_faults
 from repro.sim.faultsim import FaultSimulator
-from repro.sim.parallel import KERNELS
 
 from tests.oracle_util import small_netlists
 from tests.test_conformance import CIRCUIT_NAMES, _circuit
 
 WIDTHS = (1, 7, 64)
 DROPS = (True, False)
-WORK_COUNTERS = ("events_propagated", "stems_propagated", "words_evaluated")
 
 #: Exhaustive pattern sets up to this many test inputs, random above.
 EXHAUSTIVE_INPUTS = 7
@@ -78,20 +76,13 @@ def assert_matches_serial(result, oracle, width, n_patterns, drop):
 
 
 def check_all(netlist, patterns, faults):
-    """Every kernel × width × drop setting against one serial run."""
+    """Every width × drop setting against one serial run."""
     oracle = _serial(netlist, patterns, faults)
     for drop in DROPS:
-        counters = {}
         for width in WIDTHS:
-            for kernel in KERNELS:
-                simulator = FaultSimulator(
-                    netlist, word_width=width, cache=None, kernel=kernel
-                )
-                result = simulator.simulate(patterns, faults, drop=drop)
-                assert_matches_serial(result, oracle, width, len(patterns), drop)
-                work = tuple(result.stats[key] for key in WORK_COUNTERS)
-                # The kernels grade the same words: identical work.
-                assert counters.setdefault(width, work) == work, (width, kernel)
+            simulator = FaultSimulator(netlist, word_width=width, cache=None)
+            result = simulator.simulate(patterns, faults, drop=drop)
+            assert_matches_serial(result, oracle, width, len(patterns), drop)
 
 
 # ----------------------------------------------------------------------

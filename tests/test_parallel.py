@@ -63,3 +63,43 @@ class TestValidation:
         parallel = ParallelSimulator(netlist)
         with pytest.raises(ValueError):
             parallel.evaluate_words([0, 0], 4)
+
+
+class TestMaskedWordsInvariant:
+    """The compiled non-inverting ops skip masking, so every word must
+    already hold no bits at positions ``>= n_patterns``."""
+
+    @staticmethod
+    def _circuit_and_patterns(seed, n_patterns):
+        import random
+
+        from repro.atpg.random_gen import random_patterns
+
+        rng = random.Random(seed)
+        netlist = generators.random_circuit(
+            rng.randint(4, 8), rng.randint(15, 45), seed=seed
+        )
+        patterns = random_patterns(len(netlist.inputs), n_patterns, seed=seed)
+        return netlist, patterns
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_patterns=st.integers(1, 130))
+    def test_invariant_after_every_gate_op(self, seed, n_patterns):
+        """Each gate word is written by exactly one compiled op, so a
+        fully-masked word list proves the invariant op by op."""
+        netlist, patterns = self._circuit_and_patterns(seed, n_patterns)
+        parallel = ParallelSimulator(netlist, word_width=130, cache=None)
+        words = parallel.evaluate_words(parallel.pack_block(patterns), n_patterns)
+        assert all(word >> n_patterns == 0 for word in words)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_patterns=st.integers(1, 130))
+    def test_evaluate_words_masks_dirty_inputs(self, seed, n_patterns):
+        """Garbage bits above ``n_patterns`` in the input words must not
+        leak into any gate word."""
+        netlist, patterns = self._circuit_and_patterns(seed, n_patterns)
+        parallel = ParallelSimulator(netlist, word_width=130, cache=None)
+        clean = parallel.evaluate_words(parallel.pack_block(patterns), n_patterns)
+        garbage = ((1 << 140) - 1) ^ ((1 << n_patterns) - 1)
+        dirty = [word | garbage for word in parallel.pack_block(patterns)]
+        assert parallel.evaluate_words(dirty, n_patterns) == clean

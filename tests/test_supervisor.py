@@ -11,6 +11,7 @@ a traceback.
 
 import multiprocessing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,14 +30,17 @@ from repro.sim.supervisor import (
 )
 
 
-KERNELS = ("python", "numpy")
+#: How the patterns reach the runner: python lists or a numpy bit matrix.
+SOURCES = ("python", "numpy")
 
 
-def _setup(n_inputs=6, n_gates=40, seed=7, n_patterns=96, kernel="python"):
+def _setup(n_inputs=6, n_gates=40, seed=7, n_patterns=96, source="python"):
     netlist = generators.random_circuit(n_inputs, n_gates, seed=seed)
-    simulator = FaultSimulator(netlist, kernel=kernel)
+    simulator = FaultSimulator(netlist)
     faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     patterns = random_patterns(simulator.view.num_inputs, n_patterns, seed=seed)
+    if source == "numpy":
+        patterns = np.array(patterns, dtype=np.uint8)
     reference = simulator.simulate(patterns, faults, engine="ppsfp")
     return simulator, faults, patterns, reference
 
@@ -89,9 +93,9 @@ class TestCleanRuns:
 
 
 class TestChaosRecovery:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_crash_recovered(self, kernel):
-        simulator, faults, patterns, reference = _setup(kernel=kernel)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_crash_recovered(self, source):
+        simulator, faults, patterns, reference = _setup(source=source)
         backend = SupervisedPoolBackend(
             jobs=2, chaos=ChaosPlan.single(2, "crash", times=2)
         )
@@ -104,9 +108,9 @@ class TestChaosRecovery:
         )
         assert partition2["attempts"] == 3  # two crashes + one clean run
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_hang_killed_and_recovered(self, kernel):
-        simulator, faults, patterns, reference = _setup(kernel=kernel)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_hang_killed_and_recovered(self, source):
+        simulator, faults, patterns, reference = _setup(source=source)
         backend = SupervisedPoolBackend(
             jobs=2,
             chaos=ChaosPlan.single(1, "hang"),
@@ -160,9 +164,9 @@ class TestChaosRecovery:
 
 
 class TestGracefulDegradation:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_unrecoverable_partition_yields_partial_result(self, kernel):
-        simulator, faults, patterns, reference = _setup(kernel=kernel)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_unrecoverable_partition_yields_partial_result(self, source):
+        simulator, faults, patterns, reference = _setup(source=source)
         backend = SupervisedPoolBackend(
             jobs=2,
             chaos=ChaosPlan.single(3, "crash", times=3),
@@ -331,12 +335,12 @@ class TestChaosPlan:
 
 
 class TestKeyboardInterruptTeardown:
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("source", SOURCES)
     def test_workers_reaped_and_journal_flushed(
-        self, kernel, tmp_path, monkeypatch
+        self, source, tmp_path, monkeypatch
     ):
         """An interrupt mid-campaign must kill children, keep the journal."""
-        simulator, faults, patterns, _ = _setup(kernel=kernel)
+        simulator, faults, patterns, _ = _setup(source=source)
         journal_path = tmp_path / "interrupted.jsonl"
         backend = SupervisedPoolBackend(
             jobs=1, partitions=4, journal=CampaignJournal(str(journal_path))

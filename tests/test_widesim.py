@@ -1,6 +1,6 @@
 """Wide-word engine: width properties and good-machine caching.
 
-The full width × backend × kernel agreement matrix lives in
+The full width × backend agreement matrix lives in
 ``test_conformance.py``; this file keeps the wide-word specifics —
 hypothesis width-invariance properties, pack/unpack roundtrips, width
 validation, sequential-engine lane handling, and flow threading.
