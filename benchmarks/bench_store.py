@@ -3,7 +3,8 @@
 Times one fault-simulation campaign on a generated circuit under four
 store regimes and records the rows to ``BENCH_store.json``:
 
-* ``supervised``  — the single-process supervised baseline (no store);
+* ``supervised``  — the supervised baseline with no store directory (it
+  grades into a private temporary store);
 * ``store``       — the same campaign claimed shard-by-shard from a
   shared lease store by one runner (claim + publish + merge-from-store
   overhead on top of supervision);
@@ -36,8 +37,7 @@ from repro.circuit import generators
 from repro.faults import collapse_faults, full_fault_list
 from repro.sim.dispatch import partition_faults
 from repro.sim.faultsim import FaultSimulator
-from repro.sim.journal import CampaignKey
-from repro.sim.store import ShardStore
+from repro.sim.store import CampaignKey, ShardStore
 from repro.sim.supervisor import SupervisedPoolBackend
 
 from .util import print_table, run_once, write_bench_json

@@ -10,8 +10,10 @@ regimes and records the rows to ``BENCH_supervisor.json``:
   supervised runner with its defaults;
 * ``supervised+chaos``— two injected worker crashes mid-campaign (the
   cost of detection, backoff, and re-grading two shards);
-* ``resume``          — the campaign replayed from a complete journal
-  (every shard skipped; measures the checkpoint read path).
+* ``journaled``       — the campaign checkpointed into a ``--resume``-style
+  shard store (runner id ``resume``);
+* ``resume``          — the same campaign rerun over that complete store
+  (every shard skipped; measures the load-and-merge path).
 
 Every regime must produce a detection map bit-identical to single-process
 PPSFP — the timing sweep doubles as the differential correctness check.
@@ -36,8 +38,12 @@ from repro.faults import collapse_faults, full_fault_list
 from repro.sim.chaos import ChaosPlan
 from repro.sim.dispatch import PpsfpBackend
 from repro.sim.faultsim import FaultSimulator
-from repro.sim.journal import CampaignJournal
-from repro.sim.supervisor import SupervisedPoolBackend, SupervisorConfig
+from repro.sim.store import ShardStore
+from repro.sim.supervisor import (
+    RESUME_RUNNER_ID,
+    SupervisedPoolBackend,
+    SupervisorConfig,
+)
 
 from .util import print_table, run_once, write_bench_json
 
@@ -64,7 +70,7 @@ def _timed(backend, simulator, patterns, faults):
     return result, time.perf_counter() - start
 
 
-def _campaign(size, n_patterns, journal_dir):
+def _campaign(size, n_patterns, work_dir):
     netlist, simulator, faults, patterns = _setup(size, n_patterns)
     reference = simulator.simulate(patterns, faults, drop=False)
 
@@ -108,23 +114,16 @@ def _campaign(size, n_patterns, journal_dir):
         recovery_cost_x=chaos_s / supervised_s if supervised_s else 0.0,
     )
 
-    journal_path = os.path.join(journal_dir, f"{netlist.name}.jsonl")
-    full, _ = _timed(
-        SupervisedPoolBackend(
-            jobs=JOBS, partitions=PARTITIONS,
-            journal=CampaignJournal(journal_path),
-        ),
-        simulator, patterns, faults,
-    )
+    store_dir = os.path.join(work_dir, netlist.name)
+
+    def resume_backend():
+        store = ShardStore(store_dir, runner_id=RESUME_RUNNER_ID)
+        return SupervisedPoolBackend(jobs=JOBS, partitions=PARTITIONS, store=store)
+
+    full, _ = _timed(resume_backend(), simulator, patterns, faults)
     check("journaled", full, full.stats["wall_time_s"])
-    resumed, resumed_s = _timed(
-        SupervisedPoolBackend(
-            jobs=JOBS, partitions=PARTITIONS,
-            journal=CampaignJournal(journal_path),
-        ),
-        simulator, patterns, faults,
-    )
-    assert resumed.stats["journal_skipped"] == PARTITIONS
+    resumed, resumed_s = _timed(resume_backend(), simulator, patterns, faults)
+    assert resumed.stats["resumed"] == PARTITIONS
     check("resume", resumed, resumed_s)
 
     for row in regimes:
@@ -134,8 +133,8 @@ def _campaign(size, n_patterns, journal_dir):
 
 
 def test_supervision_overhead(benchmark):
-    with tempfile.TemporaryDirectory() as journal_dir:
-        rows = run_once(benchmark, _campaign, FULL_SIZE, FULL_PATTERNS, journal_dir)
+    with tempfile.TemporaryDirectory() as work_dir:
+        rows = run_once(benchmark, _campaign, FULL_SIZE, FULL_PATTERNS, work_dir)
     print_table("Supervisor: overhead and recovery cost", rows)
     path = write_bench_json(
         "supervisor",
@@ -153,8 +152,8 @@ def test_supervision_overhead(benchmark):
 
 def _run_smoke():
     """Quick CI check: every regime, identical detection maps."""
-    with tempfile.TemporaryDirectory() as journal_dir:
-        rows = _campaign(SMOKE_SIZE, SMOKE_PATTERNS, journal_dir)
+    with tempfile.TemporaryDirectory() as work_dir:
+        rows = _campaign(SMOKE_SIZE, SMOKE_PATTERNS, work_dir)
     print_table("supervisor smoke", rows)
     print("OK: supervised/pool/chaos/resume all bit-identical to ppsfp")
     return 0

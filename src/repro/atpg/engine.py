@@ -14,6 +14,8 @@ The production recipe the tutorial describes:
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -27,6 +29,8 @@ from ..faults.model import StuckAtFault
 from ..faults.stuck_at import full_fault_list
 from ..sim.faultsim import FaultSimulator
 from ..sim.parallel import WORD_WIDTH
+from ..sim.store import ShardStore, check_store_root
+from ..sim.supervisor import RESUME_RUNNER_ID, SupervisedPoolBackend
 from .compaction import care_bit_stats, static_compact
 from .portfolio import make_engine
 from .random_gen import random_patterns
@@ -151,7 +155,7 @@ def run_atpg(
     partitions: Optional[int] = None,
     word_width: int = WORD_WIDTH,
     podem_time_budget_s: Optional[float] = None,
-    journal: Optional[str] = None,
+    resume: Optional[str] = None,
     engine: str = "podem",
 ) -> AtpgResult:
     """Run the full stuck-at ATPG flow on ``netlist``.
@@ -165,11 +169,12 @@ def run_atpg(
     ``backend``/``jobs``/``partitions`` pick the fault-simulation engine
     for the batch passes (random phase, final verification, coverage
     top-off) — a name from :data:`repro.sim.dispatch.BACKEND_NAMES` or a
-    ready backend instance.  ``journal`` names a campaign-journal file:
-    the batch passes then run under the supervised backend, each pass
-    checkpointing its completed shards so a killed campaign resumes
-    without re-grading them (each pattern set forms its own journal
-    section).  ``podem_time_budget_s`` caps each PODEM search's wall
+    ready backend instance.  ``resume`` names a directory: the batch
+    passes then run under the supervised backend, each pass publishing
+    its graded shards to its own shard store ``resume/0000``,
+    ``resume/0001``, … in flow order (each pattern set is its own
+    campaign), so a killed run resumes without re-grading them.
+    ``podem_time_budget_s`` caps each PODEM search's wall
     clock, so one pathological fault aborts (counted separately in
     :meth:`AtpgResult.summary` — aborted is not untestable) instead of
     stalling the campaign; it applies to whichever deterministic
@@ -193,22 +198,30 @@ def run_atpg(
     remaining = list(faults)
     n_inputs = simulator.view.num_inputs
 
-    owned_journal = None
-    if journal is not None and isinstance(backend, str):
-        from ..sim.journal import CampaignJournal
-        from ..sim.supervisor import SupervisedPoolBackend
-
-        owned_journal = CampaignJournal(journal)
-        backend = SupervisedPoolBackend(
-            jobs=jobs, seed=seed, partitions=partitions, journal=owned_journal
-        )
+    passes = itertools.count()
+    if resume is not None:
+        if not isinstance(backend, str):
+            raise ValueError(
+                "resume= runs the batch passes under its own supervised "
+                "backend; pass backend by name"
+            )
+        check_store_root(resume)
 
     def batch_sim(patterns, fault_list, drop=True):
+        engine = backend
+        if resume is not None:
+            store = ShardStore(
+                os.path.join(resume, f"{next(passes):04d}"),
+                runner_id=RESUME_RUNNER_ID,
+            )
+            engine = SupervisedPoolBackend(
+                jobs=jobs, seed=seed, partitions=partitions, store=store
+            )
         return simulator.simulate(
             patterns,
             fault_list,
             drop=drop,
-            engine=backend,
+            engine=engine,
             jobs=jobs,
             seed=seed,
             partitions=partitions,
@@ -352,8 +365,6 @@ def run_atpg(
             member_counts = result.engine_abort_reasons.setdefault(member, {})
             member_counts[member_reason] = member_counts.get(member_reason, 0) + 1
 
-    if owned_journal is not None:
-        owned_journal.close()
     result.cpu_seconds = time.perf_counter() - start
     _publish_atpg(result)
     return result

@@ -12,23 +12,36 @@ Thin orchestration over the library for the common one-shot jobs:
 ``plan``       print the chip-level DFT plan for an accelerator
 ``obs diff``   compare two BENCH_*.json reports (median + MAD bands)
 ``obs gate``   like diff, but exit 4 on regression (the CI sentinel)
-``obs tail``   live progress of a supervised campaign from its journal
+``obs tail``   per-runner progress of a shard-store directory
 =============  =====================================================
 
 Every subcommand also takes ``--report FILE`` (RunReport JSON),
 ``--profile`` (span tree + counters on stdout), and ``--trace FILE``
 (Chrome trace-event JSON for Perfetto/``chrome://tracing``).
 
-Exit codes: ``0`` success; ``2`` bad arguments (argparse) or campaign
-mismatch (journal or shard store keyed to a different circuit/pattern
-set); ``3`` a supervised fault-sim campaign completed *partially*
-(unrecoverable partitions — reported coverage is a lower bound);
-``4`` benchmark regression detected by ``obs gate``; ``5`` a
-``--store`` campaign was already finished by peer runners (the printed
-result is real — merged from the store — but this runner graded
-nothing); ``130`` interrupted (Ctrl-C: workers are terminated, held
-store leases are released, and the campaign journal is flushed before
-exiting, so ``--resume``/peers pick up where the run died).
+``--store DIR`` and ``--resume DIR`` name the same thing, a shard-store
+directory (:mod:`repro.sim.store`); ``--resume`` is ``--store`` with
+the fixed runner id ``resume``, so a rerun skips every shard it already
+published.
+
+Exit codes:
+
+=======  ==============================================================
+``0``    success (including a ``--resume`` rerun that graded nothing)
+``2``    bad arguments, or a campaign mismatch: a store keyed to another
+         circuit, pattern set, seed or partition count, a ``--store`` or
+         ``--resume`` path that is a file (e.g. a JSONL journal from an
+         older checkout), an ``obs tail`` path with no ``campaign.json``
+``3``    a supervised fault-sim campaign completed *partially*
+         (unrecoverable partitions — reported coverage is a lower bound)
+``4``    benchmark regression detected by ``obs gate``
+``5``    a ``--store`` campaign was already finished by peer runners (the
+         printed result is real — merged from the store — but this runner
+         graded nothing)
+``87``   a runner killed by ``--host-chaos RUNNER:kill`` (test injection)
+``130``  interrupted (Ctrl-C: workers are terminated and held leases
+         released, so ``--resume DIR``/peers pick up where the run died)
+=======  ==============================================================
 """
 
 from __future__ import annotations
@@ -56,14 +69,13 @@ from .scan.patfile import format_patterns, load_patterns
 from .sim.chaos import ChaosPlan, HostChaosPlan
 from .sim.dispatch import BACKEND_NAMES
 from .sim.faultsim import FaultSimulator
-from .sim.journal import (
-    CampaignJournal,
-    JournalMismatchError,
-    read_campaign_progress,
-)
 from .sim.store import ShardStore, read_store_progress
 from .sim.parallel import WORD_WIDTH, WORD_WIDTHS
-from .sim.supervisor import SupervisedPoolBackend, SupervisorConfig
+from .sim.supervisor import (
+    RESUME_RUNNER_ID,
+    SupervisedPoolBackend,
+    SupervisorConfig,
+)
 from .sim.view import CombinationalView
 
 #: Campaign finished but some partitions were unrecoverable: the printed
@@ -130,7 +142,7 @@ def _cmd_atpg(args) -> int:
         partitions=args.partitions,
         word_width=args.word_width,
         podem_time_budget_s=args.podem_budget,
-        journal=args.resume,
+        resume=args.resume,
         engine=args.engine,
     )
     row = atpg_table_row(netlist, result)
@@ -153,6 +165,11 @@ def _supervised_backend(args) -> Optional[SupervisedPoolBackend]:
     unsupervised ``--backend`` is upgraded (with a note) rather than
     silently ignored.
     """
+    if args.store is not None and args.resume is not None:
+        raise ValueError(
+            "--resume DIR is --store DIR with runner id 'resume'; give one "
+            "of them, not both"
+        )
     if args.store is None and (args.runner_id is not None or bool(args.host_chaos)):
         raise ValueError(
             "--runner-id/--host-chaos only make sense with --store DIR "
@@ -173,12 +190,13 @@ def _supervised_backend(args) -> Optional[SupervisedPoolBackend]:
     config = SupervisorConfig(timeout_s=args.timeout)
     if args.retries is not None:
         config.max_retries = args.retries
-    journal = (
-        CampaignJournal(args.resume, strict=True) if args.resume is not None else None
-    )
     chaos = ChaosPlan.parse(args.chaos) if args.chaos else None
     store = None
-    if args.store is not None:
+    if args.resume is not None:
+        store = ShardStore(
+            args.resume, runner_id=RESUME_RUNNER_ID, lease_s=args.lease_s
+        )
+    elif args.store is not None:
         runner_id = (
             args.runner_id
             if args.runner_id is not None
@@ -192,7 +210,6 @@ def _supervised_backend(args) -> Optional[SupervisedPoolBackend]:
         partitions=args.partitions,
         config=config,
         chaos=chaos,
-        journal=journal,
         store=store,
         host_chaos=host_chaos,
     )
@@ -258,10 +275,10 @@ def _cmd_faultsim(args) -> int:
                 "recovered: "
                 + ", ".join(f"{v} {k.replace('_', ' ')}" for k, v in recovery.items())
             )
-        if stats.get("journal_skipped"):
+        if stats.get("resumed"):
             print(
-                f"resumed from journal: {stats['journal_skipped']}/"
-                f"{stats.get('n_partitions', '?')} partitions skipped"
+                f"resumed: {stats['resumed']}/{stats.get('n_partitions', '?')} "
+                f"shards already published by this runner id"
             )
         store_stats = stats.get("store")
         if store_stats:
@@ -366,22 +383,6 @@ def _cmd_obs_gate(args) -> int:
     return 0
 
 
-def _render_progress(progress) -> str:
-    done_list = progress.get("partitions_done", [])
-    done = progress.get("partitions_done_count", len(done_list))
-    total = progress.get("partitions_total", "?")
-    graded = progress.get("faults_graded", 0)
-    faults_total = progress.get("faults_total")
-    line = f"partitions {done}/{total}, faults graded {graded}"
-    if faults_total:
-        line += f"/{faults_total} ({graded / faults_total:.1%})"
-    line += f", detected {progress.get('detected', 0)}"
-    beat = progress.get("last_heartbeat")
-    if beat and "t_wall" in beat:
-        line += f", last heartbeat {max(0.0, time.time() - beat['t_wall']):.1f}s ago"
-    return line
-
-
 def _render_store_progress(progress) -> List[str]:
     """Per-runner ownership map of a shard store, one line per runner."""
     done = progress.get("partitions_done_count", 0)
@@ -410,24 +411,11 @@ def _render_store_progress(progress) -> List[str]:
 
 
 def _cmd_obs_tail(args) -> int:
-    is_store = os.path.isdir(args.journal)
     while True:
-        if is_store:
-            progress = read_store_progress(args.journal)
-            for line in _render_store_progress(progress):
-                print(line)
-        else:
-            progress = read_campaign_progress(args.journal)
-            if not progress["sections"]:
-                print(f"{args.journal}: no campaign sections yet")
-            else:
-                print(_render_progress(progress))
-        total = progress.get("partitions_total")
-        done = progress.get(
-            "partitions_done_count", len(progress.get("partitions_done", []))
-        )
-        complete = total is not None and done >= total
-        if not args.follow or complete:
+        progress = read_store_progress(args.store)
+        for line in _render_store_progress(progress):
+            print(line)
+        if not args.follow or progress["complete"]:
             return 0
         time.sleep(args.interval)
 
@@ -565,10 +553,11 @@ def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--resume",
-        metavar="JOURNAL",
+        metavar="DIR",
         default=None,
-        help="campaign journal (JSONL): skip partitions it already holds, "
-        "checkpoint new ones as they complete",
+        help="shard-store directory to checkpoint into and resume from: "
+        "--store DIR with runner id 'resume', so a rerun skips every shard "
+        "it already published (not combinable with --store)",
     )
     parser.add_argument(
         "--chaos",
@@ -652,10 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     atpg.add_argument(
         "--resume",
-        metavar="JOURNAL",
+        metavar="DIR",
         default=None,
-        help="campaign journal for the batch fault-sim passes (random "
-        "phase, verify, top-off) — implies the supervised backend",
+        help="directory of shard stores for the batch fault-sim passes "
+        "(random phase, verify, top-off), one per pass as DIR/0000, "
+        "DIR/0001, ...; a rerun skips every shard already published — "
+        "implies the supervised backend",
     )
     atpg.add_argument("--output", "-o", help="write patterns to file")
     _add_backend_arguments(atpg)
@@ -744,14 +735,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     tail = obs_sub.add_parser(
         "tail",
-        help="progress of a supervised campaign from its journal, or "
-        "per-runner shard ownership of a --store directory",
+        help="per-runner progress and shard ownership of a --store or "
+        "--resume directory",
     )
     tail.add_argument(
-        "journal",
-        help="CampaignJournal JSONL file (--resume) or shard-store "
-        "directory (--store): a directory is rendered as the live "
-        "per-runner ownership map",
+        "store",
+        help="shard-store directory (faultsim --store/--resume), or an "
+        "atpg --resume directory, whose last pass (in sorted order) is "
+        "rendered",
     )
     tail.add_argument(
         "--follow", "-f", action="store_true",
@@ -820,16 +811,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_observed(args, argv)
         return args.handler(args)
     except KeyboardInterrupt:
-        # The supervisor has already reaped its workers and flushed the
-        # journal on the way up; exit 130 instead of a multiprocessing
+        # The supervisor has already reaped its workers and released its
+        # leases on the way up; exit 130 instead of a multiprocessing
         # traceback so shells and schedulers see a clean interrupt.
         print(
-            "interrupted: workers terminated, journal flushed — "
-            "re-run with --resume to continue",
+            "interrupted: workers terminated, leases released — "
+            "re-run with --resume DIR to continue",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
-    except (JournalMismatchError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,7 +53,6 @@ TIMEOUT = "timeout"
 INVALID = "invalid"
 CHAOS = "chaos"
 INLINE_FALLBACK = "inline_fallback"
-JOURNAL_SKIP = "journal_skip"
 # Shared shard-store lifecycle (multi-runner campaigns, repro.sim.store):
 # claims, heartbeat renewals, steals from expired peers, losing a lease
 # to a stealer, first-write publishes, and converged duplicate publishes.
@@ -75,7 +74,6 @@ INSTANT_KINDS = (
     INVALID,
     CHAOS,
     INLINE_FALLBACK,
-    JOURNAL_SKIP,
     LEASE_CLAIM,
     LEASE_RENEW,
     LEASE_STEAL,

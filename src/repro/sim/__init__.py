@@ -12,8 +12,8 @@ from .dispatch import (
     validate_pool_args,
 )
 from .faultsim import FaultSimResult, FaultSimulator
-from .journal import CampaignJournal, CampaignKey, JournalMismatchError
 from .store import (
+    CampaignKey,
     Lease,
     ShardStore,
     StoreCorruptionError,
@@ -48,9 +48,7 @@ __all__ = [
     "ChaosPlan",
     "HostChaosInjection",
     "HostChaosPlan",
-    "CampaignJournal",
     "CampaignKey",
-    "JournalMismatchError",
     "Lease",
     "ShardStore",
     "StoreCorruptionError",

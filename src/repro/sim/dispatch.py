@@ -53,7 +53,7 @@ def validate_pool_args(
     ``jobs`` and ``partitions`` must be positive when given (``None``
     means "pick automatically"); ``seed`` must be a non-negative int so
     the partitioning shuffle is reproducible across documentation and
-    journals.
+    shard stores.
     """
     if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
@@ -82,9 +82,9 @@ def default_partition_count(n_faults: int) -> int:
 
 
 #: Identity of the sharding rule below, recorded in every
-#: :class:`~repro.sim.journal.CampaignKey`: journals and stores written
-#: under another rule (e.g. per-fault shards) hold different partitions
-#: and must be refused, not merged.
+#: :class:`~repro.sim.store.CampaignKey`: stores written under another
+#: rule (e.g. per-fault shards) hold different partitions and must be
+#: refused, not merged.
 SHARDING_SCHEME = "ffr"
 
 
@@ -130,8 +130,8 @@ def partition_faults(
 def partition_metrics(partial: FaultSimResult) -> Dict[str, object]:
     """Serialized worker-side metric registry for one partition result.
 
-    Built inside the worker (or rebuilt in the parent for journal-replayed
-    partials that predate metrics) so per-partition counters travel home
+    Built inside the worker (or rebuilt in the parent for a published
+    result that carries none) so per-partition counters travel home
     inside ``stats["metrics"]`` and fold together with the registry's
     associative, commutative merge — the totals are independent of worker
     count, completion order, and partition grouping.
@@ -237,22 +237,17 @@ def get_backend(
     jobs: Optional[int] = None,
     seed: int = 0,
     partitions: Optional[int] = None,
-    **supervised_kwargs,
 ) -> FaultSimBackend:
     """Instantiate a backend by name.
 
     ``jobs``/``seed``/``partitions`` configure the sharded backends
-    (``pool`` and ``supervised``) and are validated up front.  Extra
-    keyword arguments (``config``, ``chaos``, ``journal``) are forwarded
-    to :class:`repro.sim.supervisor.SupervisedPoolBackend`.
+    (``pool`` and ``supervised``) and are validated up front.  A
+    supervised run with a store, timeouts or chaos takes a
+    :class:`repro.sim.supervisor.SupervisedPoolBackend` instance instead.
     """
     if name not in BACKEND_NAMES:
         raise ValueError(
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
-    if supervised_kwargs and name != "supervised":
-        raise ValueError(
-            f"{sorted(supervised_kwargs)} only apply to the supervised backend"
         )
     if name in _BACKENDS:
         return _BACKENDS[name]()
@@ -260,4 +255,4 @@ def get_backend(
     from .supervisor import PoolBackend, SupervisedPoolBackend
 
     backend = SupervisedPoolBackend if name == "supervised" else PoolBackend
-    return backend(jobs=jobs, seed=seed, partitions=partitions, **supervised_kwargs)
+    return backend(jobs=jobs, seed=seed, partitions=partitions)

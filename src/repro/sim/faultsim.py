@@ -66,7 +66,7 @@ _SUPERVISOR_STAT_KEYS = (
     "timeouts",
     "invalid_results",
     "inline_fallbacks",
-    "journal_skipped",
+    "resumed",
 )
 
 
@@ -443,8 +443,8 @@ class FaultSimulator:
         ``"ppsfp"``, ``"pool"`` (multiprocess PPSFP), or ``"supervised"``
         (fault-tolerant multiprocess, see :mod:`repro.sim.supervisor`) —
         or is a ready :class:`repro.sim.dispatch.FaultSimBackend`
-        instance, which lets callers attach journals, timeouts, or chaos
-        plans.  ``jobs`` sizes the worker pool; ``seed`` and
+        instance, which lets callers attach shard stores, timeouts, or
+        chaos plans.  ``jobs`` sizes the worker pool; ``seed`` and
         ``partitions`` control the deterministic fault sharding — results
         are identical for any worker count.
         """

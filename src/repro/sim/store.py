@@ -1,23 +1,28 @@
-"""Lease-based shared shard store: multi-runner campaigns on one directory.
+"""Lease-based shard store: the one durable format of a fault-sim campaign.
 
-The supervised backend (PR 3) made one *process pool* crash-tolerant; a
+The supervised backend makes one *process pool* crash-tolerant; a
 production test floor runs one campaign across many *hosts* and keeps
 going when a host dies mid-shard.  :class:`ShardStore` is the shared
 substrate that makes that possible with nothing but a directory (NFS
-mount, bind mount, tmpfs — anything with atomic ``rename``/``link``):
+mount, bind mount, tmpfs — anything with atomic ``rename``/``link``).
+It is also how a single runner checkpoints: ``--resume DIR`` is a store
+with the fixed runner id ``resume``, and a run given no directory grades
+into a private temporary store.
 
-* the campaign's identity is the same :class:`~repro.sim.journal.CampaignKey`
-  the journal uses (structural signature + pattern/fault digests + seed +
-  partition count + drop flag), pinned once in ``campaign.json`` and
-  verified by every runner that attaches — a runner submitting a
-  different circuit or pattern set is rejected up front, never silently
-  mis-merged;
+* the campaign's identity is a :class:`CampaignKey` (structural
+  signature + pattern/fault digests + seed + partition count + sharding
+  scheme + drop flag), pinned once in ``campaign.json`` and verified by
+  every runner that attaches — a runner submitting a different circuit
+  or pattern set is rejected up front, never silently mis-merged;
 * each shard moves through ``available -> leased(runner, deadline) ->
   done``.  Claims are atomic (``link(2)`` from a private temp file, which
   fails with ``EEXIST`` if any other runner holds the lease); renewals
   atomically replace the lease file; expired leases are **stolen** by
   renaming the stale file aside — of N racing stealers exactly one
-  rename succeeds;
+  rename succeeds.  A runner id is one process at a time, so a lease
+  carrying this runner's own id but not claimed through this handle is
+  left over from a killed run of the same runner and is reclaimed at
+  once, without waiting out its deadline;
 * results are **append-only and idempotent**: a shard result is written
   to a temp file, fsynced, then ``link``ed to its final name, so the
   first writer wins and every later writer (a stalled runner racing its
@@ -49,8 +54,9 @@ import json
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set
 
+from ..faults.model import StuckAtFault
 from ..obs.events import (
     LEASE_CLAIM,
     LEASE_LOST,
@@ -60,10 +66,21 @@ from ..obs.events import (
     PUBLISH_CONFLICT,
     EventLog,
 )
+from .dispatch import SHARDING_SCHEME
 from .faultsim import FaultSimResult
-from .journal import CampaignKey, deserialize_partial, serialize_partial
 
 STORE_VERSION = 1
+
+#: Per-shard stats fields kept in a published result.  ``metrics`` is the
+#: worker's serialized metric registry (plain dicts, JSON-safe) so merged
+#: shards fold into observations like freshly graded ones.
+_KEPT_STATS = (
+    "events_propagated",
+    "stems_propagated",
+    "words_evaluated",
+    "wall_time_s",
+    "metrics",
+)
 
 #: Renew a held lease once less than this fraction of ``lease_s`` remains.
 RENEW_FRACTION = 0.5
@@ -101,6 +118,107 @@ def validate_store_args(
         )
     if not isinstance(lease_s, (int, float)) or not lease_s > 0:
         raise ValueError(f"lease_s must be a positive number, got {lease_s!r}")
+
+
+def pattern_digest(patterns: Sequence[Sequence[int]]) -> str:
+    """Stable digest of a pattern set (order- and value-sensitive)."""
+    hasher = hashlib.sha256()
+    hasher.update(f"{len(patterns)}:".encode())
+    for pattern in patterns:
+        hasher.update(bytes(int(bit) & 1 for bit in pattern))
+        hasher.update(b";")
+    return hasher.hexdigest()[:24]
+
+
+def fault_digest(faults: Iterable[StuckAtFault]) -> str:
+    """Stable digest of a fault universe (order-insensitive)."""
+    hasher = hashlib.sha256()
+    for gate, pin, value in sorted((f.gate, f.pin, f.value) for f in faults):
+        hasher.update(f"{gate},{pin},{value};".encode())
+    return hasher.hexdigest()[:24]
+
+
+@dataclass(frozen=True)
+class CampaignKey:
+    """Identity of one shardable campaign; a store's results bind to it.
+
+    ``sharding`` names the partitioning rule, so shards cut by another
+    rule never merge into this campaign.
+    """
+
+    signature: str
+    patterns: str
+    faults: str
+    seed: int
+    partitions: int
+    drop: bool
+    sharding: str = SHARDING_SCHEME
+
+    @classmethod
+    def build(
+        cls,
+        netlist,
+        patterns: Sequence[Sequence[int]],
+        universe: Iterable[StuckAtFault],
+        seed: int,
+        partitions: int,
+        drop: bool,
+    ) -> "CampaignKey":
+        return cls(
+            signature=netlist.structural_signature(),
+            patterns=pattern_digest(patterns),
+            faults=fault_digest(universe),
+            seed=seed,
+            partitions=partitions,
+            drop=drop,
+        )
+
+
+def serialize_partial(index: int, partial: FaultSimResult) -> Dict[str, object]:
+    """JSON-safe form of one shard result (stuck-at faults as triples)."""
+    return {
+        "index": index,
+        "total": partial.total_faults,
+        "patterns_simulated": partial.patterns_simulated,
+        "detected": [
+            [f.gate, f.pin, f.value, first]
+            for f, first in sorted(
+                partial.detected.items(), key=lambda kv: (kv[0].gate, kv[0].pin, kv[0].value)
+            )
+        ],
+        "undetected": [[f.gate, f.pin, f.value] for f in partial.undetected],
+        "stats": {
+            k: partial.stats[k] for k in _KEPT_STATS if k in partial.stats
+        },
+    }
+
+
+def deserialize_partial(payload: Dict[str, object]) -> FaultSimResult:
+    """Rebuild a :class:`FaultSimResult` from :func:`serialize_partial` output."""
+    partial = FaultSimResult(total_faults=int(payload["total"]))
+    for gate, pin, value, first in payload["detected"]:
+        partial.detected[StuckAtFault(gate, pin, value)] = int(first)
+    partial.undetected = [
+        StuckAtFault(gate, pin, value) for gate, pin, value in payload["undetected"]
+    ]
+    partial.patterns_simulated = int(payload["patterns_simulated"])
+    partial.stats.update(payload.get("stats", {}))
+    return partial
+
+
+def check_store_root(root: str) -> None:
+    """Refuse a path that exists but is not a directory.
+
+    A store is a directory; a file here is most likely a JSONL campaign
+    journal from an older checkout, whose shards cannot be merged.
+    """
+    if os.path.exists(root) and not os.path.isdir(root):
+        raise StoreMismatchError(
+            f"{root!r} is a file, not a shard-store directory "
+            f"(campaign.json, shards/, events/); a JSONL campaign journal "
+            f"from an older checkout is not a store and cannot be merged — "
+            f"pass a store directory, or a new one to start a campaign"
+        )
 
 
 def result_digest(serialized: Dict[str, object]) -> str:
@@ -159,7 +277,8 @@ class ShardStore:
     processes on N hosts can share one store with no coordinator and no
     locks.  ``clock`` is injectable for the lease-lifecycle property
     tests; production uses wall time, which is what lease deadlines must
-    survive host reboots on.
+    survive host reboots on.  ``root`` must be a directory or not exist
+    yet (:func:`check_store_root`).
     """
 
     def __init__(
@@ -171,6 +290,7 @@ class ShardStore:
         events: Optional[EventLog] = None,
     ):
         validate_store_args(runner_id=runner_id, lease_s=lease_s)
+        check_store_root(str(root))
         self.root = str(root)
         self.runner_id = runner_id
         self.lease_s = float(lease_s)
@@ -179,6 +299,8 @@ class ShardStore:
         self.steals = 0
         self.publish_conflicts = 0
         self._n_shards: Optional[int] = None
+        # Shards whose lease this handle claimed and still holds.
+        self._claimed: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Paths
@@ -309,33 +431,38 @@ class ShardStore:
         """Attempt to move ``shard`` from available/expired to leased.
 
         Returns the new lease, or None when the shard is done, held by a
-        live peer, or lost to a racing claimer.  Stealing an expired
-        lease first renames it aside — exactly one of N racing stealers
-        wins the rename; the losers see ``FileNotFoundError`` and back
-        off.  The eviction *is* the steal (counted and emitted as one)
-        even if the follow-up claim is then lost to a racing peer: the
-        dead runner's lease is gone either way, and the telemetry must
-        show who removed it.
+        live peer (or by this handle), or lost to a racing claimer.
+        Stealing an expired lease first renames it aside — exactly one of
+        N racing stealers wins the rename; the losers see
+        ``FileNotFoundError`` and back off.  The eviction *is* the steal
+        (counted and emitted as one) even if the follow-up claim is then
+        lost to a racing peer: the dead runner's lease is gone either
+        way, and the telemetry must show who removed it.  A live lease
+        with this runner's id that this handle never claimed belongs to
+        a killed earlier run of this runner: it is evicted at once and
+        is not a steal.
         """
         if self.is_done(shard):
             return None
         holder = self._read_lease(shard)
         stolen_from: Optional[str] = None
         if holder is not None:
-            if holder.deadline > self.clock():
-                return None  # live peer
+            reclaim = holder.runner == self.runner_id and shard not in self._claimed
+            if not reclaim and holder.deadline > self.clock():
+                return None  # live peer, or our own live lease
             stale = self._tmp_path(f"stale-{shard}")
             try:
                 os.rename(self._lease_path(shard), stale)
             except FileNotFoundError:
                 return None  # another stealer won, or holder released
             os.unlink(stale)
-            stolen_from = holder.runner
-            self.steals += 1
-            self.events.emit(
-                LEASE_STEAL, "lease_steal", partition=shard,
-                runner=self.runner_id, stolen_from=stolen_from,
-            )
+            if not reclaim:
+                stolen_from = holder.runner
+                self.steals += 1
+                self.events.emit(
+                    LEASE_STEAL, "lease_steal", partition=shard,
+                    runner=self.runner_id, stolen_from=stolen_from,
+                )
         now = self.clock()
         lease = Lease(
             shard=shard,
@@ -351,6 +478,7 @@ class ShardStore:
             return None  # lost the claim race to a peer
         finally:
             os.unlink(tmp)
+        self._claimed.add(shard)
         self.events.emit(
             LEASE_CLAIM, "lease_claim", partition=shard, runner=self.runner_id
         )
@@ -367,6 +495,7 @@ class ShardStore:
         """
         current = self._read_lease(lease.shard)
         if current is None or current.runner != self.runner_id:
+            self._claimed.discard(lease.shard)
             self.events.emit(
                 LEASE_LOST, "lease_lost", partition=lease.shard,
                 runner=self.runner_id,
@@ -387,10 +516,16 @@ class ShardStore:
 
     def release(self, lease: Lease) -> None:
         """Drop a held lease (after publish, or when giving up a shard)."""
-        current = self._read_lease(lease.shard)
+        self._drop_own_lease(lease.shard)
+
+    def _drop_own_lease(self, shard: int) -> None:
+        """Remove ``shard``'s lease file if this runner holds it (a peer's
+        lease — e.g. a stealer we raced — is theirs to drop)."""
+        self._claimed.discard(shard)
+        current = self._read_lease(shard)
         if current is not None and current.runner == self.runner_id:
             try:
-                os.unlink(self._lease_path(lease.shard))
+                os.unlink(self._lease_path(shard))
             except FileNotFoundError:
                 pass
 
@@ -404,9 +539,10 @@ class ShardStore:
         The serialized result is fsynced in a private temp file and then
         ``link``ed to its final name — atomic, so no reader ever sees a
         half-written result.  A loser (idempotent duplicate from a steal
-        race or a journal replay) verifies the winner's digest matches
-        its own and converges silently; a digest mismatch is corruption
-        and raises :class:`StoreCorruptionError`.
+        race, or a publish queued through a partition window) verifies
+        the winner's digest matches its own and converges silently; a
+        digest mismatch is corruption and raises
+        :class:`StoreCorruptionError`.
         """
         serialized = serialize_partial(shard, partial)
         digest = result_digest(serialized)
@@ -429,14 +565,7 @@ class ShardStore:
             won = False
         finally:
             os.unlink(tmp)
-        # The shard is done; drop our own lease on it (a peer's lease —
-        # e.g. a stealer we raced — is theirs to drop when *they* publish).
-        current = self._read_lease(shard)
-        if current is not None and current.runner == self.runner_id:
-            try:
-                os.unlink(self._lease_path(shard))
-            except FileNotFoundError:
-                pass
+        self._drop_own_lease(shard)  # the shard is done
         if won:
             self.events.emit(
                 PUBLISH, "publish", partition=shard,
@@ -550,14 +679,39 @@ class ShardStore:
 # ----------------------------------------------------------------------
 
 
+def campaign_root(root: str) -> str:
+    """The store directory to render for ``root``.
+
+    ``root`` itself when it holds ``campaign.json``; otherwise the last
+    (in sorted order) subdirectory that does — an ``atpg --resume`` root
+    holds one store per batch pass, ``0000``, ``0001``, … in flow order.
+    """
+    check_store_root(root)
+    if os.path.exists(os.path.join(root, "campaign.json")):
+        return root
+    passes = sorted(
+        name
+        for name in (os.listdir(root) if os.path.isdir(root) else ())
+        if os.path.exists(os.path.join(root, name, "campaign.json"))
+    )
+    if not passes:
+        raise StoreMismatchError(
+            f"{root!r} is not a shard-store directory: it holds no "
+            f"campaign.json, and no subdirectory does"
+        )
+    return os.path.join(root, passes[-1])
+
+
 def read_store_progress(root: str) -> Dict[str, object]:
     """Live per-runner ownership map of a store directory.
 
     Built for ``repro obs tail``: who holds which shard (and how long
     until the lease is stealable), who has published what, and how many
     steals the campaign has seen — all from the store's own files, no
-    runner cooperation needed.
+    runner cooperation needed.  ``root`` may also be an ``atpg --resume``
+    root; its last pass is rendered (:func:`campaign_root`).
     """
+    root = campaign_root(root)
     store = ShardStore(root, runner_id="tail.reader")
     campaign = store.attach()
     now = store.clock()

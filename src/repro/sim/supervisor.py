@@ -1,6 +1,5 @@
 """Supervised multiprocess fault simulation: the one fan-out runner, with
-crash recovery, timeouts, poisoned-partition fallback, and
-checkpoint/resume.
+crash recovery, timeouts, poisoned-partition fallback, and resume.
 
 :class:`SupervisedPoolBackend` grades the deterministic shards of
 :mod:`repro.sim.dispatch` (same seeded partitioning, same min-merge, so
@@ -33,11 +32,13 @@ workers *will* fail:
   in ``stats["failed_partitions"]`` and its faults stay conservatively
   undetected: the merged result is a *coverage lower bound*
   (``stats["coverage_lower_bound"]``) instead of a traceback;
-* **journaling** — with a :class:`repro.sim.journal.CampaignJournal`
-  attached, every completed shard is durably appended, and a later run
-  of the same campaign skips journaled shards entirely
-  (``stats["journal_skipped"]``) — a killed campaign resumes
-  bit-identically.
+* **one durable shard format** — every shard is claimed, graded and
+  published through a :class:`repro.sim.store.ShardStore`.  Given a
+  store directory, a later run under the same runner id skips the shards
+  already published there (``stats["resumed"]``), so a killed campaign
+  resumes bit-identically, and runners with other ids share the
+  campaign as peers.  Without one, the run grades into a private
+  temporary store.
 
 The simulator holds compiled closures and does not pickle, so on
 platforms without ``fork`` the sharded backends raise and point at the
@@ -53,9 +54,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..faults.model import StuckAtFault
 from ..obs import MetricRegistry
@@ -66,7 +69,6 @@ from ..obs.events import (
     HOST_CHAOS,
     INLINE_FALLBACK,
     INVALID,
-    JOURNAL_SKIP,
     PARTITION_BEGIN,
     PARTITION_END,
     RETRY,
@@ -90,8 +92,7 @@ from .dispatch import (
     validate_pool_args,
 )
 from .faultsim import FaultSimResult, _unique
-from .journal import CampaignJournal, CampaignKey
-from .store import Lease, ShardStore
+from .store import CampaignKey, Lease, ShardStore, StoreCorruptionError
 
 #: Recovery counters every campaign reports, zero when nothing failed.
 _RECOVERY_COUNTERS = (
@@ -101,6 +102,12 @@ _RECOVERY_COUNTERS = (
     "invalid_results",
     "inline_fallbacks",
 )
+
+#: Runner id of the private temporary store a run without a store uses.
+PRIVATE_RUNNER_ID = "local"
+#: Runner id of ``--resume DIR`` runs: a rerun under it reclaims its own
+#: leases at once and counts its earlier publishes as resumed.
+RESUME_RUNNER_ID = "resume"
 
 
 @dataclass
@@ -253,32 +260,6 @@ class _Slot:
     deadline: Optional[float]
 
 
-@dataclass
-class _Campaign:
-    """One run's shards and the bookkeeping both supervision loops share."""
-
-    universe: List[StuckAtFault]
-    shards: List[List[StuckAtFault]]
-    jobs: int
-    n_patterns: int
-    events: EventLog
-    start_time: float
-    counters: Dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(_RECOVERY_COUNTERS, 0)
-    )
-    sources: Dict[int, str] = field(default_factory=dict)
-    attempts_used: Dict[int, int] = field(default_factory=dict)
-    metrics_lost: Dict[int, int] = field(default_factory=dict)
-    failed: List[Dict[str, object]] = field(default_factory=list)
-    # (partition, attempt, eligible-at monotonic time)
-    pending: List[Tuple[int, int, float]] = field(default_factory=list)
-    journal_skipped: int = 0
-
-    @property
-    def faults_total(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-
 class SupervisedPoolBackend(FaultSimBackend):
     """Fault-tolerant multiprocess PPSFP over deterministic partitions.
 
@@ -286,10 +267,13 @@ class SupervisedPoolBackend(FaultSimBackend):
     partitioning shuffle; ``partitions`` overrides the automatic
     partition count (both independent of ``jobs``, so the merged result
     never depends on how many workers happened to run).  The runner
-    survives worker crashes, hangs and corrupt results, degrades
-    gracefully instead of dying, resumes from a campaign journal, and —
-    with ``store`` — shares one campaign among independently launched
-    runner processes.
+    survives worker crashes, hangs and corrupt results and degrades
+    gracefully instead of dying.  Every run claims, grades and publishes
+    its shards through a :class:`~repro.sim.store.ShardStore`: ``store``
+    names a durable one — shared with independently launched runner
+    processes, or resumed by a later run under the same runner id —
+    and without it the run uses a private temporary store, removed on
+    return (such a run reports no ``stats["store"]``).
     """
 
     name = "supervised"
@@ -301,7 +285,6 @@ class SupervisedPoolBackend(FaultSimBackend):
         partitions: Optional[int] = None,
         config: Optional[SupervisorConfig] = None,
         chaos: Optional[ChaosPlan] = None,
-        journal: Optional[CampaignJournal] = None,
         store: Optional[ShardStore] = None,
         host_chaos: Optional[HostChaosPlan] = None,
     ):
@@ -317,225 +300,31 @@ class SupervisedPoolBackend(FaultSimBackend):
         self.config = config or SupervisorConfig()
         self.config.validate()
         self.chaos = chaos
-        self.journal = journal
         self.store = store
         self.host_chaos = host_chaos
-
-    # ------------------------------------------------------------------
-    # Main entry
-    # ------------------------------------------------------------------
 
     def run(self, simulator, patterns, faults, drop=True):
         _fork_context()  # fail before any grading work where fork is missing
         if self.store is not None:
-            return self._run_store(simulator, patterns, faults, drop)
-        # The supervisor's own telemetry (retry/kill/chaos instants and
-        # heartbeats), stitched with the workers' shipped logs.
-        campaign = self._campaign(simulator, faults, len(patterns), EventLog())
-        shards = campaign.shards
-
-        good = _good_pass(simulator, patterns)
-        good_chunks = good["chunks"]
-
-        results: Dict[int, FaultSimResult] = {}
-        if self.journal is not None and shards:
-            key = CampaignKey.build(
-                simulator.netlist, patterns, campaign.universe, self.seed,
-                len(shards), drop,
-            )
-            for index, partial in self.journal.begin(key).items():
-                if index >= len(shards):
-                    continue
-                if validate_partial(partial, shards[index], len(patterns)) is None:
-                    results[index] = partial
-                    campaign.sources[index] = "journal"
-                    campaign.journal_skipped += 1
-                    campaign.events.emit(
-                        JOURNAL_SKIP, "journal_skip", partition=index
-                    )
-
-        campaign.pending.extend(
-            (index, 0, 0.0) for index in range(len(shards)) if index not in results
-        )
-        if campaign.pending:
-            self._supervise(simulator, good_chunks, campaign, drop, results)
-
-        result = merge_results(
-            [results[i] for i in sorted(results)], campaign.universe,
-            len(patterns), drop,
-        )
-        self._fill_stats(result, results, campaign, simulator, good)
+            return _Run(self, self.store, simulator, patterns, faults, drop).execute()
+        with tempfile.TemporaryDirectory(prefix="repro-shards-") as root:
+            store = ShardStore(root, runner_id=PRIVATE_RUNNER_ID)
+            result = _Run(self, store, simulator, patterns, faults, drop).execute()
+        del result.stats["store"]
         return result
 
-    def _campaign(
-        self, simulator, faults, n_patterns: int, events: EventLog
-    ) -> _Campaign:
-        """Shard the universe: worker count, partition count, partitions.
-
-        Shards hold whole fanout-free regions, so their work counters sum
-        to the single-process run's.
-        """
-        start_time = time.perf_counter()
-        universe = _unique(faults)
-        jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
-        n_partitions = (
-            self.partitions
-            if self.partitions is not None
-            else default_partition_count(len(universe))
-        )
-        return _Campaign(
-            universe=universe,
-            shards=partition_faults(
-                universe, n_partitions, self.seed, simulator.fault_region
-            ),
-            jobs=max(1, jobs),
-            n_patterns=n_patterns,
-            events=events,
-            start_time=start_time,
-        )
-
     # ------------------------------------------------------------------
-    # Supervision loop
+    # Process plumbing
     # ------------------------------------------------------------------
 
-    def _supervise(self, simulator, good_chunks, campaign, drop, results) -> None:
-        running: List[_Slot] = []
-        shards = campaign.shards
-        pending = campaign.pending
-        faults_total = campaign.faults_total
-
-        def record(index: int, partial: FaultSimResult, source: str, attempt: int):
-            results[index] = partial
-            campaign.sources[index] = source
-            campaign.attempts_used[index] = attempt + 1
-            if self.journal is not None:
-                self.journal.record(index, partial)
-            # Campaign heartbeat on every shard flush: the live progress
-            # gauges `repro obs tail` reads from the journal and the
-            # trace exporter renders as a counter series.
-            graded = sum(r.total_faults for r in results.values())
-            campaign.events.emit(
-                HEARTBEAT, "progress",
-                partition=index,
-                faults_graded=graded,
-                faults_total=faults_total,
-                partitions_done=len(results),
-                partitions_total=len(shards),
-            )
-            if self.journal is not None:
-                self.journal.heartbeat(
-                    partition=index,
-                    source=source,
-                    faults_graded=graded,
-                    faults_total=faults_total,
-                    partitions_done=len(results),
-                    partitions_total=len(shards),
-                )
-
-        def poison(index: int, attempt: int, reason: str) -> None:
-            self._finish_poisoned(
-                simulator, campaign, good_chunks, drop, index, attempt, reason,
-                record,
-            )
-
-        try:
-            while pending or running:
-                now = time.monotonic()
-                # Launch eligible shards into free slots, lowest index first.
-                pending.sort(key=lambda item: (item[2], item[0]))
-                while len(running) < campaign.jobs and pending and pending[0][2] <= now:
-                    index, attempt, _ = pending.pop(0)
-                    running.append(
-                        self._spawn(
-                            campaign, simulator, good_chunks, drop, index, attempt
-                        )
-                    )
-                progressed = False
-                for slot in list(running):
-                    outcome = self._poll_slot(slot, now)
-                    if outcome is None:
-                        continue
-                    progressed = True
-                    running.remove(slot)
-                    self._settle(campaign, slot, outcome, record, poison)
-                if not progressed:
-                    time.sleep(self.config.poll_interval_s)
-        except BaseException:
-            # KeyboardInterrupt or anything else: reap every child and
-            # leave the journal durable before propagating.
-            self._terminate(running)
-            if self.journal is not None:
-                self.journal.flush()
-            raise
-
-    def _settle(
-        self,
-        campaign: _Campaign,
-        slot: _Slot,
-        outcome: Tuple[str, object],
-        record: Callable[[int, FaultSimResult, str, int], None],
-        poison: Callable[[int, int, str], None],
-    ) -> None:
-        """Apply one finished worker attempt to the campaign.
-
-        A valid partial is recorded.  Anything else — an invalid partial,
-        a timeout kill, a crash or a reported error — is counted, put on
-        the timeline, and then either requeued with backoff or, once the
-        retries are spent, handed to ``poison``.
-        """
-        index, attempt = slot.index, slot.attempt
-        counters, events = campaign.counters, campaign.events
-        status, payload = outcome
-        if status == "ok":
-            reason = validate_partial(
-                payload, campaign.shards[index], campaign.n_patterns
-            )
-            if reason is None:
-                record(index, payload, "worker", attempt)
-                return
-            counters["invalid_results"] += 1
-            events.emit(
-                INVALID, "invalid_result",
-                partition=index, attempt=attempt, reason=reason,
-            )
-            reason = f"invalid result: {reason}"
-        elif status == "timeout":
-            counters["timeouts"] += 1
-            events.emit(
-                TIMEOUT, "timeout_kill",
-                partition=index, attempt=attempt,
-                deadline_s=self.config.timeout_s,
-            )
-            reason = payload
-        else:
-            counters["worker_crashes"] += 1
-            events.emit(
-                CRASH, "worker_crash",
-                partition=index, attempt=attempt, reason=str(payload)[:200],
-            )
-            reason = payload
-        # The attempt did real work whose metrics never arrived: note the
-        # loss so merged totals can be reported as a stated lower bound.
-        campaign.metrics_lost[index] = campaign.metrics_lost.get(index, 0) + 1
-        if attempt < self.config.max_retries:
-            counters["retries"] += 1
-            events.emit(
-                RETRY, "retry",
-                partition=index, attempt=attempt, reason=reason[:200],
-            )
-            eligible = time.monotonic() + self.config.backoff_s * (2 ** attempt)
-            campaign.pending.append((index, attempt + 1, eligible))
-            return
-        poison(index, attempt, reason)
-
-    def _spawn(self, campaign, simulator, good_chunks, drop, index, attempt):
+    def _spawn(self, run: "_Run", index: int, attempt: int) -> _Slot:
         """Start one forked worker process for one shard attempt."""
         if self.chaos is not None:
             mode = self.chaos.mode_for(index, attempt)
             if mode is not None:
                 # The parent knows the schedule, so the injection lands on
                 # the timeline even when the worker dies before reporting.
-                campaign.events.emit(
+                run.events.emit(
                     CHAOS, f"chaos:{mode}",
                     partition=index, attempt=attempt, mode=mode,
                 )
@@ -544,8 +333,8 @@ class SupervisedPoolBackend(FaultSimBackend):
         process = context.Process(
             target=_supervised_worker,
             args=(
-                child_conn, simulator, good_chunks, campaign.n_patterns,
-                index, attempt, campaign.shards[index], drop, self.chaos,
+                child_conn, run.simulator, run.good_chunks(), run.n_patterns,
+                index, attempt, run.shards[index], run.drop, self.chaos,
             ),
             daemon=True,
         )
@@ -593,397 +382,6 @@ class SupervisedPoolBackend(FaultSimBackend):
             )
         return None
 
-    def _finish_poisoned(
-        self, simulator, campaign, good_chunks, drop, index, attempt, reason,
-        record,
-    ) -> None:
-        """Pool retries exhausted: inline fallback, else mark failed."""
-        shard = campaign.shards[index]
-        n_patterns = campaign.n_patterns
-        if self.config.inline_fallback:
-            campaign.counters["inline_fallbacks"] += 1
-            inline_attempt = attempt + 1
-            campaign.events.emit(
-                INLINE_FALLBACK, "inline_fallback",
-                partition=index, attempt=inline_attempt, reason=reason[:200],
-            )
-            try:
-                if self.chaos is not None:
-                    self.chaos.execute_pre(index, inline_attempt, inline=True)
-                partial = simulator._simulate_ppsfp(
-                    None, shard, drop,
-                    good_chunks=good_chunks, n_patterns=n_patterns,
-                )
-                if self.chaos is not None:
-                    partial = self.chaos.corrupt_result(
-                        index, inline_attempt, partial, n_patterns
-                    )
-                invalid = validate_partial(partial, shard, n_patterns)
-                if invalid is None:
-                    partial.stats["metrics"] = partition_metrics(partial)
-                    record(index, partial, "inline", inline_attempt)
-                    return
-                reason = f"inline fallback invalid result: {invalid}"
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                reason = f"inline fallback failed: {type(exc).__name__}: {exc}"
-            attempt = inline_attempt
-        campaign.failed.append(
-            {
-                "partition": index,
-                "faults": len(shard),
-                "attempts": attempt + 1,
-                "reason": reason,
-            }
-        )
-
-    # ------------------------------------------------------------------
-    # Shared-store mode (multi-runner campaigns)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _claim_order(n_shards: int, runner_id: str) -> List[int]:
-        """Shard visit order for claims, staggered per runner id.
-
-        N runners launched together would otherwise all race shard 0,
-        lose N-1 claims, race shard 1, and so on.  A deterministic
-        per-runner offset (``hash()`` is salted per process, so a byte
-        sum instead) spreads the fleet across the shard space while
-        keeping each runner's order reproducible.
-        """
-        if n_shards == 0:
-            return []
-        offset = sum(runner_id.encode()) % n_shards
-        return [(offset + i) % n_shards for i in range(n_shards)]
-
-    def _run_store(self, simulator, patterns, faults, drop):
-        """Cooperatively execute one campaign over a shared shard store.
-
-        The single-runner path above owns its shards outright; here every
-        shard is *claimed* from the store under a heartbeat-renewed lease,
-        so any number of independently launched runner processes share the
-        campaign and steal from dead peers.  Two deliberate differences,
-        each load-bearing:
-
-        * grading runs in child processes, so this supervision loop stays
-          free to renew leases however long a shard takes;
-        * the final merge reads *only* the store's published result files —
-          including for shards graded here — so every runner's merged
-          result is bit-identical to every other's (and to a clean
-          single-runner run) by construction.
-        """
-        config = self.config
-        store = self.store
-        # One timeline: lease events + supervision.
-        campaign = self._campaign(simulator, faults, len(patterns), store.events)
-        shards, n_patterns = campaign.shards, campaign.n_patterns
-        pending, sources = campaign.pending, campaign.sources
-        events = campaign.events
-        key = CampaignKey.build(
-            simulator.netlist, patterns, campaign.universe, self.seed,
-            len(shards), drop,
-        )
-        store.initialize(key, len(shards))
-        injection = (
-            self.host_chaos.for_runner(store.runner_id)
-            if self.host_chaos is not None
-            else None
-        )
-
-        leases: Dict[int, Lease] = {}
-        abandoned: set = set()
-        running: List[_Slot] = []
-        publish_queue: Dict[int, FaultSimResult] = {}
-        faults_total = campaign.faults_total
-        state = {
-            "published": 0,       # store.publish calls that landed
-            "wins": 0,            # ... that won first-write
-            "graded_faults": 0,   # faults graded by this runner
-            "chaos_fired": False,
-            "window_mode": None,  # live stall/partition window
-            "window_until": 0.0,
-        }
-
-        # The good response is only computed when this runner actually
-        # grades something: a runner that finds the campaign already
-        # finished by peers pays nothing but the merge.
-        good: Dict[str, object] = {}
-
-        def good_chunks():
-            if not good:
-                good.update(_good_pass(simulator, patterns))
-            return good["chunks"]
-
-        def store_reachable(now: float) -> bool:
-            return not (
-                state["window_mode"] == PARTITION and now < state["window_until"]
-            )
-
-        def renewals_allowed(now: float) -> bool:
-            return not (
-                state["window_mode"] in (STALL, PARTITION)
-                and now < state["window_until"]
-            )
-
-        def maybe_fire_host_chaos() -> None:
-            if injection is None or state["chaos_fired"]:
-                return
-            if state["published"] < injection.after_publishes:
-                return
-            state["chaos_fired"] = True
-            events.emit(
-                HOST_CHAOS, f"host_chaos:{injection.mode}",
-                runner=store.runner_id, mode=injection.mode,
-                after_publishes=injection.after_publishes,
-                duration_s=injection.duration_s,
-            )
-            if injection.mode == KILL:
-                # A host death: no lease release, no cleanup — peers must
-                # steal the expired leases.  Flush telemetry only, so the
-                # postmortem shows what this runner was holding.
-                store.write_events()
-                if self.journal is not None:
-                    self.journal.flush()
-                os._exit(HOST_KILL_EXIT_CODE)
-            state["window_mode"] = injection.mode
-            state["window_until"] = (
-                float("inf")
-                if injection.duration_s == 0
-                else time.monotonic() + injection.duration_s
-            )
-
-        def publish(index: int, partial: FaultSimResult) -> None:
-            if store.publish(index, partial):
-                state["wins"] += 1
-            state["published"] += 1
-            lease = leases.pop(index, None)
-            if lease is not None:
-                store.release(lease)
-            done = store.done_indices()
-            events.emit(
-                HEARTBEAT, "progress",
-                partition=index,
-                faults_graded=state["graded_faults"],
-                faults_total=faults_total,
-                partitions_done=len(done),
-                partitions_total=len(shards),
-            )
-            if self.journal is not None:
-                self.journal.heartbeat(
-                    partition=index,
-                    source=sources.get(index, "worker"),
-                    faults_graded=state["graded_faults"],
-                    faults_total=faults_total,
-                    partitions_done=len(done),
-                    partitions_total=len(shards),
-                )
-
-        def record(index: int, partial: FaultSimResult, source: str,
-                   attempt: int) -> None:
-            sources[index] = source
-            campaign.attempts_used[index] = attempt + 1
-            state["graded_faults"] += partial.total_faults
-            worker_payload = partial.stats.get("worker_events")
-            if worker_payload:
-                # Stitch the worker's timeline here: the serialized store
-                # record keeps only the deterministic stats, so this is
-                # the only place the per-attempt events survive.
-                events.ingest(worker_payload)
-            if self.journal is not None:
-                self.journal.record(index, partial)
-            if not store_reachable(time.monotonic()):
-                publish_queue[index] = partial  # lands late, converges
-                return
-            publish(index, partial)
-
-        def poison(index: int, attempt: int, reason: str) -> None:
-            n_failed = len(campaign.failed)
-            self._finish_poisoned(
-                simulator, campaign, good_chunks(), drop, index, attempt,
-                reason, record,
-            )
-            if len(campaign.failed) > n_failed:
-                # Locally poisoned: hand the shard back so a peer (with a
-                # healthier host) can try it; only if nobody can does the
-                # campaign degrade to a coverage lower bound.
-                lease = leases.pop(index, None)
-                if lease is not None:
-                    store.release(lease)
-                abandoned.add(index)
-
-        if self.journal is not None and shards:
-            # Resume: journaled shards of this same campaign are published
-            # straight to the store — no re-grading; first-write-wins makes
-            # the replay idempotent against peers that got there first.
-            for index, partial in self.journal.begin(key).items():
-                if index >= len(shards) or store.is_done(index):
-                    continue
-                if validate_partial(partial, shards[index], n_patterns) is None:
-                    sources[index] = "journal"
-                    campaign.journal_skipped += 1
-                    events.emit(JOURNAL_SKIP, "journal_skip", partition=index)
-                    publish(index, partial)
-
-        try:
-            while True:
-                now = time.monotonic()
-                if state["window_mode"] is not None and now >= state["window_until"]:
-                    state["window_mode"] = None
-                maybe_fire_host_chaos()
-                now = time.monotonic()
-
-                # Renew leases we hold before peers can deem them expired.
-                if leases and renewals_allowed(now):
-                    for index, lease in list(leases.items()):
-                        if store.needs_renewal(lease):
-                            renewed = store.renew(lease)
-                            if renewed is None:
-                                # Stolen (we renewed too late).  Keep
-                                # grading: the duplicate publish converges
-                                # first-write-wins, and aborting now would
-                                # waste the work if the stealer dies too.
-                                leases.pop(index, None)
-                            else:
-                                leases[index] = renewed
-
-                for slot in list(running):
-                    outcome = self._poll_slot(slot, now)
-                    if outcome is None:
-                        continue
-                    running.remove(slot)
-                    self._settle(campaign, slot, outcome, record, poison)
-
-                now = time.monotonic()
-                if publish_queue and store_reachable(now):
-                    # The partition window healed: queued results land
-                    # late and converge idempotently against any peer
-                    # that graded the same shards meanwhile.
-                    for index in sorted(publish_queue):
-                        publish(index, publish_queue.pop(index))
-
-                # Claim work from the store (stealing expired leases as a
-                # side effect), at most one shard per free slot.
-                if store_reachable(now):
-                    busy = {slot.index for slot in running}
-                    busy.update(item[0] for item in pending)
-                    if len(busy) < campaign.jobs:
-                        done = store.done_indices()
-                        for index in self._claim_order(
-                            len(shards), store.runner_id
-                        ):
-                            if len(busy) >= campaign.jobs:
-                                break
-                            if (
-                                index in done
-                                or index in busy
-                                or index in abandoned
-                                or index in leases
-                                or index in publish_queue
-                            ):
-                                continue
-                            lease = store.try_claim(index)
-                            if lease is None:
-                                continue  # done, live peer, or lost race
-                            leases[index] = lease
-                            pending.append((index, 0, 0.0))
-                            busy.add(index)
-
-                pending.sort(key=lambda item: (item[2], item[0]))
-                while len(running) < campaign.jobs and pending and pending[0][2] <= now:
-                    index, attempt, _ = pending.pop(0)
-                    if store_reachable(now) and store.is_done(index):
-                        # A peer finished it between claim and spawn
-                        # (stall/steal overlap): don't grade it again.
-                        lease = leases.pop(index, None)
-                        if lease is not None:
-                            store.release(lease)
-                        continue
-                    running.append(
-                        self._spawn(
-                            campaign, simulator, good_chunks(), drop,
-                            index, attempt,
-                        )
-                    )
-
-                if (
-                    not running and not pending and not publish_queue
-                    and store_reachable(time.monotonic())
-                ):
-                    done = store.done_indices()
-                    if len(done) >= len(shards):
-                        break  # campaign complete (by us, peers, or both)
-                    un_done = [i for i in range(len(shards)) if i not in done]
-                    if un_done and all(i in abandoned for i in un_done):
-                        # Every remaining shard is poisoned *here*; only
-                        # degrade once no live peer still holds any of
-                        # them — a peer might yet publish.
-                        held = store.leases()
-                        wall = store.clock()
-                        live_peer = any(
-                            index in held
-                            and held[index].deadline > wall
-                            and held[index].runner != store.runner_id
-                            for index in un_done
-                        )
-                        if not live_peer:
-                            break  # graceful degradation: lower bound
-                time.sleep(config.poll_interval_s)
-        except BaseException:
-            # KeyboardInterrupt or anything else: reap children, give the
-            # held leases back immediately (peers should not wait out the
-            # deadline for a runner that exited cleanly), flush telemetry.
-            self._terminate(running)
-            for lease in leases.values():
-                store.release(lease)
-            leases.clear()
-            if self.journal is not None:
-                self.journal.flush()
-            store.write_events()
-            raise
-
-        self._terminate(running)
-        for lease in leases.values():
-            store.release(lease)
-        leases.clear()
-        swept = store.sweep()
-        store.write_events()
-
-        # Merge exclusively from the store's published bytes — shards this
-        # runner graded included — so all runners converge bit-identically.
-        results = store.load_results()
-        for index in results:
-            sources.setdefault(index, "peer")
-        result = merge_results(
-            [results[i] for i in sorted(results)], campaign.universe,
-            n_patterns, drop,
-        )
-        campaign.counters["steals"] = store.steals
-        campaign.counters["publish_conflicts"] = store.publish_conflicts
-        self._fill_stats(result, results, campaign, simulator, good)
-        graded_here = sum(
-            1 for source in sources.values() if source != "peer"
-        )
-        result.stats["store"] = {
-            "path": store.root,
-            "runner_id": store.runner_id,
-            "lease_s": store.lease_s,
-            "n_shards": len(shards),
-            "shards_graded_here": graded_here,
-            "published": state["wins"],
-            "publish_conflicts": store.publish_conflicts,
-            "steals": store.steals,
-            "leases_swept": swept,
-            "finished_by_peers": (
-                state["wins"] == 0 and len(results) >= len(shards)
-            ),
-        }
-        return result
-
-    # ------------------------------------------------------------------
-    # Process plumbing
-    # ------------------------------------------------------------------
-
     @staticmethod
     def _reap(slot: _Slot, kill: bool = False) -> None:
         if kill and slot.process.is_alive():
@@ -997,44 +395,471 @@ class SupervisedPoolBackend(FaultSimBackend):
         except OSError:  # pragma: no cover
             pass
 
-    def _terminate(self, running: List[_Slot]) -> None:
-        for slot in running:
-            self._reap(slot, kill=True)
-        running.clear()
+
+class PoolBackend(SupervisedPoolBackend):
+    """The ``pool`` backend: the supervised runner with its defaults.
+
+    Kept as its own name so stats, spans and the CLI still say ``pool``.
+    """
+
+    name = "pool"
+
+
+def _claim_order(n_shards: int, runner_id: str) -> List[int]:
+    """Shard visit order for claims, staggered per runner id.
+
+    N runners launched together would otherwise all race shard 0, lose
+    N-1 claims, race shard 1, and so on.  A deterministic per-runner
+    offset (``hash()`` is salted per process, so a byte sum instead)
+    spreads the fleet across the shard space while keeping each runner's
+    order reproducible.
+    """
+    if n_shards == 0:
+        return []
+    offset = sum(runner_id.encode()) % n_shards
+    return [(offset + i) % n_shards for i in range(n_shards)]
+
+
+class _Run:
+    """One campaign executed over one store: the runner loop and merge.
+
+    Every shard is *claimed* from the store under a heartbeat-renewed
+    lease, so any number of independently launched runner processes
+    share the campaign and steal from dead peers, and a shard already
+    published — by a peer, or by an earlier run of this runner — is never
+    graded again.  Two deliberate choices, each load-bearing:
+
+    * grading runs in child processes, so the loop stays free to renew
+      leases however long a shard takes;
+    * the final merge reads *only* the store's published result files —
+      including for shards graded here — so every runner's merged result
+      is bit-identical to every other's (and to ``ppsfp``) by
+      construction.
+    """
+
+    def __init__(self, backend, store, simulator, patterns, faults, drop):
+        self.start_time = time.perf_counter()
+        self.backend, self.config, self.store = backend, backend.config, store
+        self.simulator, self.patterns, self.drop = simulator, patterns, drop
+        self.n_patterns = len(patterns)
+        self.universe = _unique(faults)
+        jobs = backend.jobs if backend.jobs is not None else (os.cpu_count() or 1)
+        self.jobs = max(1, jobs)
+        n_partitions = (
+            backend.partitions
+            if backend.partitions is not None
+            else default_partition_count(len(self.universe))
+        )
+        # Shards hold whole fanout-free regions, so their work counters
+        # sum to the single-process run's.
+        self.shards = partition_faults(
+            self.universe, n_partitions, backend.seed, simulator.fault_region
+        )
+        # Lease events + supervision; each recorded shard's worker timeline
+        # ships beside it (the published result keeps only deterministic
+        # stats, so this is the only place those events survive).
+        self.events = store.events
+        self.worker_events: Dict[int, Dict[str, object]] = {}
+        # Fires once, then is cleared.
+        self.injection = (
+            backend.host_chaos.for_runner(store.runner_id)
+            if backend.host_chaos is not None
+            else None
+        )
+        self.counters = dict.fromkeys(_RECOVERY_COUNTERS, 0)
+        self.sources: Dict[int, str] = {}
+        self.attempts_used: Dict[int, int] = {}
+        self.metrics_lost: Dict[int, int] = {}
+        self.failed: List[Dict[str, object]] = []
+        # (partition, attempt, eligible-at monotonic time)
+        self.pending: List[Tuple[int, int, float]] = []
+        self.running: List[_Slot] = []
+        self.leases: Dict[int, Lease] = {}
+        self.abandoned: Set[int] = set()
+        self.publish_queue: Dict[int, FaultSimResult] = {}
+        self.published = 0  # store.publish calls that landed ...
+        self.wins = 0  # ... and those that won first-write
+        self.graded_faults = 0
+        self.window_mode: Optional[str] = None  # live stall/partition window
+        self.window_until = 0.0
+        # The good response is only computed when this runner actually
+        # grades something: a runner that finds the campaign already
+        # finished pays nothing but the merge.
+        self.good: Dict[str, object] = {}
+
+    def good_chunks(self):
+        if not self.good:
+            self.good.update(_good_pass(self.simulator, self.patterns))
+        return self.good["chunks"]
+
+    def execute(self) -> FaultSimResult:
+        store = self.store
+        key = CampaignKey.build(
+            self.simulator.netlist, self.patterns, self.universe,
+            self.backend.seed, len(self.shards), self.drop,
+        )
+        store.initialize(key, len(self.shards))
+        try:
+            while not self._finished():
+                if not self._step():
+                    time.sleep(self.config.poll_interval_s)
+        finally:
+            # Also on KeyboardInterrupt: reap children and give the held
+            # leases back at once (peers and a ``--resume`` rerun should
+            # not wait out the deadline), then flush telemetry.
+            for slot in self.running:
+                self.backend._reap(slot, kill=True)
+            for lease in self.leases.values():
+                store.release(lease)
+            store.write_events()
+        swept = store.sweep()
+        return self._merge(swept)
 
     # ------------------------------------------------------------------
-    # Stats
+    # Host chaos windows
     # ------------------------------------------------------------------
 
-    def _fill_stats(self, result, results, campaign, simulator, good) -> None:
-        """Fill ``result.stats`` for a merged campaign.
+    def _in_window(self, modes, now: float) -> bool:
+        return self.window_mode in modes and now < self.window_until
 
-        ``good`` is the parent's :func:`_good_pass` (empty when this
-        runner graded nothing).
+    def _reachable(self, now: float) -> bool:
+        return not self._in_window((PARTITION,), now)
+
+    def _maybe_fire_host_chaos(self) -> None:
+        injection = self.injection
+        if injection is None or self.published < injection.after_publishes:
+            return
+        self.injection = None
+        self.events.emit(
+            HOST_CHAOS, f"host_chaos:{injection.mode}",
+            runner=self.store.runner_id, mode=injection.mode,
+            after_publishes=injection.after_publishes,
+            duration_s=injection.duration_s,
+        )
+        if injection.mode == KILL:
+            # A host death: no lease release, no cleanup — peers must
+            # steal the expired leases.  Flush telemetry only, so the
+            # postmortem shows what this runner was holding.
+            self.store.write_events()
+            os._exit(HOST_KILL_EXIT_CODE)
+        self.window_mode = injection.mode
+        self.window_until = (
+            float("inf")
+            if injection.duration_s == 0
+            else time.monotonic() + injection.duration_s
+        )
+
+    # ------------------------------------------------------------------
+    # The loop
+    # ------------------------------------------------------------------
+
+    def _step(self) -> bool:
+        """One pass of the loop; True when a slot finished, a result was
+        published or a shard was claimed (the caller sleeps otherwise)."""
+        store = self.store
+        self._maybe_fire_host_chaos()
+        now = time.monotonic()
+        progressed = False
+
+        # Renew leases we hold before peers can deem them expired.
+        if self.leases and not self._in_window((STALL, PARTITION), now):
+            for index, lease in list(self.leases.items()):
+                if store.needs_renewal(lease):
+                    renewed = store.renew(lease)
+                    if renewed is None:
+                        # Stolen (we renewed too late).  Keep grading: the
+                        # duplicate publish converges first-write-wins, and
+                        # aborting now would waste the work if the stealer
+                        # dies too.
+                        del self.leases[index]
+                    else:
+                        self.leases[index] = renewed
+
+        for slot in list(self.running):
+            outcome = self.backend._poll_slot(slot, now)
+            if outcome is not None:
+                progressed = True
+                self.running.remove(slot)
+                self._settle(slot, outcome)
+
+        now = time.monotonic()
+        if self.publish_queue and self._reachable(now):
+            # The partition window healed: queued results land late and
+            # converge idempotently against any peer that graded the same
+            # shards meanwhile.
+            progressed = True
+            for index in sorted(self.publish_queue):
+                self._publish(index, self.publish_queue.pop(index))
+
+        if self._reachable(now):
+            progressed |= self._claim()
+
+        self.pending.sort(key=lambda item: (item[2], item[0]))
+        while (
+            len(self.running) < self.jobs
+            and self.pending
+            and self.pending[0][2] <= now
+        ):
+            index, attempt, _ = self.pending.pop(0)
+            if self._reachable(now) and store.is_done(index):
+                # A peer finished it between claim and spawn (stall/steal
+                # overlap): don't grade it again.
+                lease = self.leases.pop(index, None)
+                if lease is not None:
+                    store.release(lease)
+                continue
+            self.running.append(self.backend._spawn(self, index, attempt))
+        return progressed
+
+    def _claim(self) -> bool:
+        """Claim work from the store (stealing expired leases as a side
+        effect), at most one shard per free slot; True if any claimed."""
+        busy = {slot.index for slot in self.running}
+        busy.update(item[0] for item in self.pending)
+        if len(busy) >= self.jobs:
+            return False
+        skip = (
+            self.store.done_indices() | busy | self.abandoned
+            | set(self.leases) | set(self.publish_queue)
+        )
+        claimed = False
+        for index in _claim_order(len(self.shards), self.store.runner_id):
+            if len(busy) >= self.jobs:
+                break
+            if index in skip:
+                continue
+            lease = self.store.try_claim(index)
+            if lease is None:
+                continue  # done, live peer, or lost race
+            claimed = True
+            self.leases[index] = lease
+            self.pending.append((index, 0, 0.0))
+            busy.add(index)
+        return claimed
+
+    def _finished(self) -> bool:
+        """Every shard published, or every one left is poisoned here."""
+        if (
+            self.running or self.pending or self.publish_queue
+            or not self._reachable(time.monotonic())
+        ):
+            return False
+        done = self.store.done_indices()
+        un_done = [i for i in range(len(self.shards)) if i not in done]
+        if not un_done:
+            return True  # campaign complete (by us, peers, or both)
+        if not all(i in self.abandoned for i in un_done):
+            return False
+        # Every remaining shard is poisoned *here*; only degrade once no
+        # live peer still holds any of them — a peer might yet publish.
+        held = self.store.leases()
+        wall = self.store.clock()
+        return not any(
+            index in held
+            and held[index].deadline > wall
+            and held[index].runner != self.store.runner_id
+            for index in un_done
+        )
+
+    # ------------------------------------------------------------------
+    # Attempt outcomes
+    # ------------------------------------------------------------------
+
+    def _settle(self, slot: _Slot, outcome: Tuple[str, object]) -> None:
+        """Apply one finished worker attempt to the campaign.
+
+        A valid partial is recorded.  Anything else — an invalid partial,
+        a timeout kill, a crash or a reported error — is counted, put on
+        the timeline, and then either requeued with backoff or, once the
+        retries are spent, poisoned.
         """
-        metrics_lost = campaign.metrics_lost
+        index, attempt = slot.index, slot.attempt
+        counters, events = self.counters, self.events
+        status, payload = outcome
+        if status == "ok":
+            reason = validate_partial(payload, self.shards[index], self.n_patterns)
+            if reason is None:
+                self._record(index, payload, "worker", attempt)
+                return
+            counters["invalid_results"] += 1
+            events.emit(
+                INVALID, "invalid_result",
+                partition=index, attempt=attempt, reason=reason,
+            )
+            reason = f"invalid result: {reason}"
+        elif status == "timeout":
+            counters["timeouts"] += 1
+            events.emit(
+                TIMEOUT, "timeout_kill",
+                partition=index, attempt=attempt,
+                deadline_s=self.config.timeout_s,
+            )
+            reason = payload
+        else:
+            counters["worker_crashes"] += 1
+            events.emit(
+                CRASH, "worker_crash",
+                partition=index, attempt=attempt, reason=str(payload)[:200],
+            )
+            reason = payload
+        # The attempt did real work whose metrics never arrived: note the
+        # loss so merged totals can be reported as a stated lower bound.
+        self.metrics_lost[index] = self.metrics_lost.get(index, 0) + 1
+        if attempt < self.config.max_retries:
+            counters["retries"] += 1
+            events.emit(
+                RETRY, "retry",
+                partition=index, attempt=attempt, reason=reason[:200],
+            )
+            eligible = time.monotonic() + self.config.backoff_s * (2 ** attempt)
+            self.pending.append((index, attempt + 1, eligible))
+            return
+        self._poison(index, attempt, reason)
+
+    def _poison(self, index: int, attempt: int, reason: str) -> None:
+        """Pool retries exhausted: inline fallback, else mark failed and
+        hand the shard back so a peer (with a healthier host) can try it;
+        only if nobody can does the campaign degrade to a coverage lower
+        bound."""
+        shard = self.shards[index]
+        chaos, n_patterns = self.backend.chaos, self.n_patterns
+        if self.config.inline_fallback:
+            self.counters["inline_fallbacks"] += 1
+            attempt += 1
+            self.events.emit(
+                INLINE_FALLBACK, "inline_fallback",
+                partition=index, attempt=attempt, reason=reason[:200],
+            )
+            try:
+                if chaos is not None:
+                    chaos.execute_pre(index, attempt, inline=True)
+                partial = self.simulator._simulate_ppsfp(
+                    None, shard, self.drop,
+                    good_chunks=self.good_chunks(), n_patterns=n_patterns,
+                )
+                if chaos is not None:
+                    partial = chaos.corrupt_result(
+                        index, attempt, partial, n_patterns
+                    )
+                invalid = validate_partial(partial, shard, n_patterns)
+                if invalid is None:
+                    partial.stats["metrics"] = partition_metrics(partial)
+                    self._record(index, partial, "inline", attempt)
+                    return
+                reason = f"inline fallback invalid result: {invalid}"
+            except Exception as exc:  # not KeyboardInterrupt: that ends the run
+                reason = f"inline fallback failed: {type(exc).__name__}: {exc}"
+        self.failed.append(
+            {
+                "partition": index,
+                "faults": len(shard),
+                "attempts": attempt + 1,
+                "reason": reason,
+            }
+        )
+        lease = self.leases.pop(index, None)
+        if lease is not None:
+            self.store.release(lease)
+        self.abandoned.add(index)
+
+    def _record(self, index: int, partial: FaultSimResult, source: str,
+                attempt: int) -> None:
+        self.sources[index] = source
+        self.attempts_used[index] = attempt + 1
+        self.graded_faults += partial.total_faults
+        if partial.stats.get("worker_events"):
+            self.worker_events[index] = partial.stats["worker_events"]
+        if not self._reachable(time.monotonic()):
+            self.publish_queue[index] = partial  # lands late, converges
+            return
+        self._publish(index, partial)
+
+    def _publish(self, index: int, partial: FaultSimResult) -> None:
+        # Publishing also drops this runner's lease file on the shard.
+        if self.store.publish(index, partial):
+            self.wins += 1
+        self.published += 1
+        self.leases.pop(index, None)
+        # Campaign heartbeat on every publish: the live progress gauges
+        # the trace exporter renders as a counter series.
+        self.events.emit(
+            HEARTBEAT, "progress",
+            partition=index,
+            faults_graded=self.graded_faults,
+            faults_total=len(self.universe),
+            partitions_done=len(self.store.done_indices()),
+            partitions_total=len(self.shards),
+        )
+
+    # ------------------------------------------------------------------
+    # Merge and stats
+    # ------------------------------------------------------------------
+
+    def _merge(self, swept: int) -> FaultSimResult:
+        """Merge exclusively from the store's published bytes — shards
+        this runner graded included — so all runners converge
+        bit-identically.  A shard this run did not grade was published
+        either by an earlier run under this runner id (resumed) or by a
+        peer."""
+        store, shards, sources = self.store, self.shards, self.sources
+        results = store.load_results()
+        for index, partial in results.items():
+            reason = validate_partial(partial, shards[index], self.n_patterns)
+            if reason is not None:
+                raise StoreCorruptionError(
+                    f"shard {index}: the result published in {store.root!r} "
+                    f"does not grade this campaign's shard ({reason}); "
+                    f"refusing to merge"
+                )
+            if index not in sources:
+                mine = partial.stats.get("published_by") == store.runner_id
+                sources[index] = "resumed" if mine else "peer"
+        result = merge_results(
+            [results[i] for i in sorted(results)], self.universe,
+            self.n_patterns, self.drop,
+        )
+        self.counters["steals"] = store.steals
+        self.counters["publish_conflicts"] = store.publish_conflicts
+        counts = Counter(sources.values())
+        self._fill_stats(result, results, resumed=counts["resumed"])
+        result.stats["store"] = {
+            "path": store.root,
+            "runner_id": store.runner_id,
+            "lease_s": store.lease_s,
+            "n_shards": len(shards),
+            "shards_graded_here": counts["worker"] + counts["inline"],
+            "published": self.wins,
+            "publish_conflicts": store.publish_conflicts,
+            "steals": store.steals,
+            "leases_swept": swept,
+            "finished_by_peers": (
+                self.wins == 0 and counts["peer"] > 0
+                and len(results) >= len(shards)
+            ),
+        }
+        return result
+
+    def _fill_stats(self, result, results, resumed: int) -> None:
+        """Fill ``result.stats`` for a merged campaign."""
+        metrics_lost = self.metrics_lost
         per_partition: List[Dict[str, object]] = []
         merged = MetricRegistry()
-        event_payloads: List[Dict[str, object]] = []
-        if len(campaign.events):
-            event_payloads.append(campaign.events.to_payload())
         for index in sorted(results):
             partial = results[index]
             stats = partial.stats
-            # Journal-replayed partials may predate worker metrics; rebuild
-            # their registry from the kept stats so the merge stays total.
+            # A published result without a registry (written by hand or by
+            # another tool) is rebuilt from the kept stats, so the merge
+            # stays total.
             merged.merge_dict(stats.get("metrics") or partition_metrics(partial))
-            if stats.get("worker_events"):
-                event_payloads.append(stats["worker_events"])
             row = {
                 "partition": index,
-                "faults": len(campaign.shards[index]),
+                "faults": len(self.shards[index]),
                 "detected": len(partial.detected),
                 "events_propagated": stats.get("events_propagated", 0),
                 "words_evaluated": stats.get("words_evaluated", 0),
                 "wall_time_s": stats.get("wall_time_s", 0.0),
-                "source": campaign.sources.get(index, "worker"),
-                "attempts": campaign.attempts_used.get(index, 1),
+                "source": self.sources.get(index, "worker"),
+                "attempts": self.attempts_used.get(index, 1),
             }
             if metrics_lost.get(index):
                 # Timeout-killed / crashed attempts did work whose
@@ -1049,14 +874,16 @@ class SupervisedPoolBackend(FaultSimBackend):
             # the counters it undercuts: consumers see the totals are a
             # lower bound without cross-referencing the partition list.
             merged.counter("faultsim.metrics_lost_attempts").add(total_lost)
+        # ``good`` stays empty when this runner graded nothing.
+        good = self.good
         good_words = good.get("words", 0)
         result.stats.update(
-            engine=self.name,
-            jobs=campaign.jobs,
-            seed=self.seed,
-            word_width=simulator.word_width,
+            engine=self.backend.name,
+            jobs=self.jobs,
+            seed=self.backend.seed,
+            word_width=self.simulator.word_width,
             faults_simulated=result.total_faults,
-            n_partitions=len(campaign.shards),
+            n_partitions=len(self.shards),
             partitions=per_partition,
             # Derived from the merged worker registries rather than the raw
             # partition list: the production totals ride the same
@@ -1069,27 +896,18 @@ class SupervisedPoolBackend(FaultSimBackend):
             good_cache_hits=good.get("hits", 0),
             load_imbalance=round(imbalance, 3),
             good_response_s=good.get("seconds", 0.0),
-            wall_time_s=time.perf_counter() - campaign.start_time,
-            journal_skipped=campaign.journal_skipped,
+            wall_time_s=time.perf_counter() - self.start_time,
+            resumed=resumed,
             metrics=merged.to_dict(),
-            **campaign.counters,
+            **self.counters,
         )
         if total_lost:
             result.stats["metrics_lost_attempts"] = total_lost
             result.stats["metrics_lower_bound"] = True
-        if event_payloads:
-            result.stats["events"] = event_payloads
-        if self.journal is not None:
-            result.stats["journal_path"] = self.journal.path
-        if campaign.failed:
-            result.stats["failed_partitions"] = campaign.failed
+        payloads = [self.events.to_payload()] if len(self.events) else []
+        payloads += [self.worker_events[i] for i in sorted(self.worker_events)]
+        if payloads:
+            result.stats["events"] = payloads
+        if self.failed:
+            result.stats["failed_partitions"] = self.failed
             result.stats["coverage_lower_bound"] = result.coverage
-
-
-class PoolBackend(SupervisedPoolBackend):
-    """The ``pool`` backend: the supervised runner with its defaults.
-
-    Kept as its own name so stats, spans and the CLI still say ``pool``.
-    """
-
-    name = "pool"

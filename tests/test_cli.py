@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -163,43 +165,106 @@ class TestSupervisedCampaigns:
         assert "LOWER BOUND" in captured.err
 
     def test_resume_skips_journaled_partitions(self, pattern_file, tmp_path, capsys):
-        journal = str(tmp_path / "campaign.jsonl")
+        store = str(tmp_path / "campaign")
         first = main(
             ["faultsim", "alu4", pattern_file, "--jobs", "2",
-             "--partitions", "4", "--resume", journal]
+             "--partitions", "4", "--resume", store]
         )
         first_out = capsys.readouterr().out
         assert first == 0
         second = main(
             ["faultsim", "alu4", pattern_file, "--jobs", "2",
-             "--partitions", "4", "--resume", journal]
+             "--partitions", "4", "--resume", store]
         )
         second_out = capsys.readouterr().out
-        assert second == 0
-        assert "resumed from journal: 4/4 partitions skipped" in second_out
+        assert second == 0  # its own earlier shards, not a peer's: not 5
+        assert "resumed: 4/4" in second_out
+        assert "[resume]: 0/4 shards graded by this runner" in second_out
         assert first_out.splitlines()[1] == second_out.splitlines()[1]  # coverage
 
+    def test_resume_into_existing_directory(self, pattern_file, tmp_path, capsys):
+        code = main(
+            ["faultsim", "alu4", pattern_file, "--jobs", "2",
+             "--partitions", "4", "--resume", str(tmp_path)]
+        )
+        assert code == 0
+        assert "[resume]: 4/4 shards graded by this runner" in (
+            capsys.readouterr().out
+        )
+
     def test_resume_wrong_campaign_exits_two(self, pattern_file, tmp_path, capsys):
-        journal = str(tmp_path / "campaign.jsonl")
+        store = str(tmp_path / "campaign")
         assert main(
-            ["faultsim", "alu4", pattern_file, "--resume", journal]
+            ["faultsim", "alu4", pattern_file, "--resume", store]
         ) == 0
         capsys.readouterr()
         code = main(
             ["faultsim", "alu4", pattern_file, "--seed", "9",
-             "--resume", journal]
+             "--resume", store]
         )
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err
 
-    def test_atpg_resume_flag(self, tmp_path, capsys):
-        journal = str(tmp_path / "atpg.jsonl")
-        assert main(["atpg", "alu4", "--resume", journal, "--jobs", "2"]) == 0
-        assert "fault_coverage" in capsys.readouterr().out
-        import os
+    @pytest.mark.parametrize("flag", ["--resume", "--store"])
+    def test_store_path_that_is_a_file_exits_two(
+        self, pattern_file, tmp_path, flag, capsys
+    ):
+        """A JSONL campaign journal from an older checkout is refused with
+        a message naming the store-directory format, never a traceback."""
+        journal = tmp_path / "campaign.jsonl"
+        journal.write_text('{"kind":"header","version":1,"key":{}}\n')
+        code = main(["faultsim", "alu4", pattern_file, flag, str(journal)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "not a shard-store directory" in err
+        assert "journal" in err
 
-        assert os.path.exists(journal)
+    def test_resume_with_store_exits_two(self, pattern_file, tmp_path, capsys):
+        code = main(
+            ["faultsim", "alu4", pattern_file,
+             "--resume", str(tmp_path / "a"), "--store", str(tmp_path / "b")]
+        )
+        assert code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "a")
+
+    def test_atpg_resume_flag(self, tmp_path, capsys):
+        root = tmp_path / "atpg"
+        assert main(["atpg", "alu4", "--resume", str(root), "--jobs", "2"]) == 0
+        first = capsys.readouterr().out
+        assert "fault_coverage" in first
+        passes = sorted(os.listdir(root))
+        assert passes[0] == "0000"
+        assert passes == [f"{i:04d}" for i in range(len(passes))]
+        for name in passes:
+            assert os.path.exists(root / name / "campaign.json")
+        # A rerun resumes every pass and reports the same flow.
+        assert main(["atpg", "alu4", "--resume", str(root), "--jobs", "2"]) == 0
+
+        def flow(out):
+            return [line for line in out.splitlines() if "cpu_s" not in line]
+
+        assert flow(capsys.readouterr().out) == flow(first)
+        assert sorted(os.listdir(root)) == passes
+
+    def test_obs_tail_renders_last_atpg_pass(self, tmp_path, capsys):
+        root = tmp_path / "atpg"
+        assert main(["atpg", "alu4", "--resume", str(root), "--jobs", "2"]) == 0
+        capsys.readouterr()
+        last = sorted(os.listdir(root))[-1]
+        assert main(["obs", "tail", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert f"store {root / last}:" in out
+        assert "resume:" in out and "campaign complete" in out
+
+    def test_obs_tail_rejects_non_store_paths(self, tmp_path, capsys):
+        assert main(["obs", "tail", str(tmp_path)]) == 2
+        assert "campaign.json" in capsys.readouterr().err
+        journal = tmp_path / "campaign.jsonl"
+        journal.write_text("")
+        assert main(["obs", "tail", str(journal)]) == 2
+        assert "not a shard-store directory" in capsys.readouterr().err
 
     def test_store_first_runner_grades_everything(self, pattern_file, tmp_path, capsys):
         store = str(tmp_path / "store")

@@ -24,7 +24,9 @@ from repro.obs.regress import (
     failures,
     pair_bench_files,
 )
-from repro.sim.journal import CampaignJournal
+from repro.faults.model import StuckAtFault
+from repro.sim.faultsim import FaultSimResult
+from repro.sim.store import CampaignKey, ShardStore
 
 
 def _bench_report(rows, counters=None, name="bench.widesim"):
@@ -266,54 +268,59 @@ class TestObsCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def _store(root, runner, n_shards=4):
+        store = ShardStore(str(root), runner_id=runner)
+        store.initialize(
+            CampaignKey("sig", "pat", "flt", 0, n_shards, True), n_shards
+        )
+        return store
+
+    @staticmethod
+    def _partial(shard, n_faults=50):
+        partial = FaultSimResult(total_faults=n_faults)
+        partial.detected[StuckAtFault(f"g{shard}", 0, 1)] = 2
+        partial.undetected = [
+            StuckAtFault(f"g{shard}", i, 0) for i in range(n_faults - 1)
+        ]
+        partial.patterns_simulated = 10
+        return partial
+
     def test_tail_reports_progress(self, tmp_path, capsys):
-        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
-        journal._append({"kind": "header", "version": 1, "key": {"seed": 0}})
-        journal._append(
-            {
-                "kind": "partition", "index": 0, "total": 50,
-                "patterns_simulated": 10,
-                "detected": [["g", 0, 1, 2]], "undetected": [],
-            }
-        )
-        journal.heartbeat(
-            partition=0, faults_graded=50, faults_total=200,
-            partitions_done=1, partitions_total=4,
-        )
-        journal.close()
-        assert main(["obs", "tail", str(tmp_path / "j.jsonl")]) == 0
+        store = self._store(tmp_path, "r0")
+        store.publish(0, self._partial(0))
+        assert store.try_claim(1) is not None
+        assert main(["obs", "tail", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "partitions 1/4" in out
-        assert "faults graded 50/200" in out
+        assert "partitions 1/4 done, 1 leased, 2 available" in out
+        assert "faults graded 50, detected 1" in out
+        assert "r0: 1 published, holds [1@" in out
+        assert "campaign complete" not in out
 
     def test_tail_aggregates_resumed_sections(self, tmp_path, capsys):
-        """A resumed run's fresh section still counts earlier checkpoints."""
-        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
-        journal._append({"kind": "header", "version": 1, "key": {"seed": 0}})
-        journal._append(
-            {
-                "kind": "partition", "index": 0, "total": 50,
-                "patterns_simulated": 10,
-                "detected": [["g", 0, 1, 2]], "undetected": [],
-            }
-        )
-        # Resume of the same campaign: same key, no new records yet.
-        journal._append({"kind": "header", "version": 1, "key": {"seed": 0}})
-        journal.close()
-        assert main(["obs", "tail", str(tmp_path / "j.jsonl")]) == 0
-        assert "faults graded 50" in capsys.readouterr().out
-        # A different campaign key resets the tally.
-        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
-        journal._append({"kind": "header", "version": 1, "key": {"seed": 9}})
-        journal.close()
-        assert main(["obs", "tail", str(tmp_path / "j.jsonl")]) == 0
-        assert "faults graded 0" in capsys.readouterr().out
+        """A resumed run's publishes add to its earlier ones, and an
+        ``atpg --resume`` root renders its last pass only."""
+        first_pass = tmp_path / "0000"
+        self._store(first_pass, "resume").publish(0, self._partial(0))
+        # The rerun: same runner id, a new handle on the same store.
+        self._store(first_pass, "resume").publish(1, self._partial(1))
+        assert main(["obs", "tail", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "partitions 2/4 done" in out and "faults graded 100" in out
+        assert "resume: 2 published" in out
+        # A later pass is a different campaign: the tally starts over.
+        self._store(tmp_path / "0001", "resume", n_shards=2)
+        assert main(["obs", "tail", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"store {tmp_path / '0001'}: partitions 0/2 done" in out
+        assert "faults graded 0" in out
 
     def test_tail_empty_journal(self, tmp_path, capsys):
+        """A JSONL journal (even an empty one) is not a store: exit 2."""
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert main(["obs", "tail", str(path)]) == 0
-        assert "no campaign sections" in capsys.readouterr().out
+        assert main(["obs", "tail", str(path)]) == 2
+        assert "not a shard-store directory" in capsys.readouterr().err
 
 
 class TestBenchEnvelopeCompat:

@@ -15,6 +15,7 @@ import json
 import multiprocessing
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,8 @@ from repro.faults.model import StuckAtFault
 from repro.obs.events import LEASE_CLAIM, LEASE_LOST, LEASE_STEAL, PUBLISH
 from repro.sim.chaos import HOST_KILL_EXIT_CODE, HostChaosInjection, HostChaosPlan
 from repro.sim.faultsim import FaultSimResult, FaultSimulator
-from repro.sim.journal import CampaignKey
 from repro.sim.store import (
+    CampaignKey,
     ShardStore,
     StoreCorruptionError,
     StoreMismatchError,
@@ -170,6 +171,28 @@ class TestLeaseLifecycle:
         kinds = [event.kind for event in peer.events.events]
         assert LEASE_STEAL in kinds
 
+    def test_own_lease_reclaimed_at_once(self, tmp_path):
+        """A runner id is one process at a time: a new handle with the
+        same id reclaims its predecessor's live lease without waiting,
+        while a peer still waits for the deadline."""
+        clock = FakeClock()
+        killed = _store(tmp_path, runner="r0", clock=clock)
+        killed.initialize(_key(), 2)
+        assert killed.try_claim(0) is not None
+        rerun = _store(tmp_path, runner="r0", clock=clock)
+        rerun.initialize(_key(), 2)
+        reclaimed = rerun.try_claim(0)
+        assert reclaimed is not None and reclaimed.runner == "r0"
+        assert reclaimed.stolen_from is None
+        assert rerun.steals == 0
+        assert rerun.try_claim(0) is None  # now held by this handle
+        peer = _store(tmp_path, runner="r1", clock=clock)
+        peer.initialize(_key(), 2)
+        assert peer.try_claim(0) is None  # still blocked until expiry
+        clock.t += 10.1
+        stolen = peer.try_claim(0)
+        assert stolen is not None and stolen.stolen_from == "r0"
+
     def test_renew_extends_and_loses_after_steal(self, tmp_path):
         clock = FakeClock()
         mine = _store(tmp_path, runner="r0", clock=clock)
@@ -263,7 +286,7 @@ class TestPublish:
         one, two = _partial(3), _partial(3)
         two.stats["wall_time_s"] = 1e9
         two.stats["metrics"] = {"different": True}
-        from repro.sim.journal import serialize_partial
+        from repro.sim.store import serialize_partial
 
         assert result_digest(serialize_partial(3, one)) == result_digest(
             serialize_partial(3, two)
@@ -413,6 +436,7 @@ def _run_runner(root, runner_id, netlist, patterns, faults, queue,
                 (f.gate, f.pin, f.value) for f in result.undetected
             ),
             "total": result.total_faults,
+            "resumed": result.stats["resumed"],
             "store": result.stats["store"],
         }
     )
@@ -586,6 +610,39 @@ class TestStoreCampaigns:
         assert progress["steals"] >= 1  # the steal is visible in telemetry
         _assert_clean_exit(tmp_path)
 
+    def test_host_kill_resume_differential(self, tmp_path):
+        """A runner killed after two publishes is rerun under its own id.
+
+        The rerun reclaims the dead run's leases at once (the 600 s lease
+        is never waited out), grades only what was never published, and
+        merges bit-identically to clean single-runner PPSFP.
+        """
+        simulator, faults, patterns, reference = _setup()
+        plan = HostChaosPlan.single("r0", "kill", after=2)
+        exit_codes, reports = _launch_fleet(
+            str(tmp_path), simulator.netlist, patterns, faults,
+            ["r0"], host_chaos=plan, lease_s=600.0,
+        )
+        assert exit_codes["r0"] == HOST_KILL_EXIT_CODE
+        assert reports == []
+        progress = read_store_progress(str(tmp_path))
+        assert progress["partitions_done_count"] >= 2
+        assert progress["leased"] >= 1  # the dead run's leases linger
+        start = time.monotonic()
+        exit_codes, reports = _launch_fleet(
+            str(tmp_path), simulator.netlist, patterns, faults,
+            ["r0"], lease_s=600.0,
+        )
+        assert time.monotonic() - start < 60.0  # no lease was waited out
+        assert exit_codes == {"r0": 0}
+        (report,) = reports
+        _assert_report_identical(report, reference)
+        assert report["store"]["steals"] == 0
+        assert report["resumed"] == progress["partitions_done_count"]
+        assert report["resumed"] + report["store"]["shards_graded_here"] == 6
+        assert not report["store"]["finished_by_peers"]
+        _assert_clean_exit(tmp_path)
+
     def test_host_stall_converges(self, tmp_path):
         """A stalled runner keeps grading while peers steal its shards;
         the double grades must converge first-write-wins."""
@@ -634,34 +691,6 @@ class TestStoreCampaigns:
         assert result.stats["worker_crashes"] == 1
         assert result.stats["retries"] == 1
         _assert_clean_exit(tmp_path)
-
-    def test_journal_replay_publishes_to_store(self, tmp_path):
-        """A journaled campaign resumed in store mode publishes its
-        checkpointed shards instead of re-grading them."""
-        from repro.sim.journal import CampaignJournal
-
-        simulator, faults, patterns, reference = _setup()
-        journal_path = str(tmp_path / "campaign.jsonl")
-        first = SupervisedPoolBackend(
-            jobs=2, seed=0, partitions=4,
-            journal=CampaignJournal(journal_path),
-        )
-        simulator.simulate(patterns, faults, engine=first)
-        store_dir = str(tmp_path / "store")
-        resumed = SupervisedPoolBackend(
-            jobs=2, seed=0, partitions=4,
-            journal=CampaignJournal(journal_path),
-            store=ShardStore(store_dir, runner_id="r0"),
-        )
-        result = FaultSimulator(simulator.netlist).simulate(
-            patterns, faults, engine=resumed
-        )
-        _assert_identical(result, reference)
-        assert result.stats["journal_skipped"] == 4
-        assert result.stats["store"]["shards_graded_here"] == 4
-        assert all(
-            row["source"] == "journal" for row in result.stats["partitions"]
-        )
 
     def test_progress_view_fields(self, tmp_path):
         simulator, faults, patterns, _ = _setup()

@@ -10,6 +10,7 @@ a traceback.
 """
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from repro.circuit import benchmarks, generators
 from repro.faults import collapse_faults, full_fault_list
 from repro.sim.chaos import CRASH_EXIT_CODE, ChaosError, ChaosPlan
 from repro.sim.faultsim import FaultSimResult, FaultSimulator
-from repro.sim.journal import CampaignJournal
+from repro.sim.store import ShardStore
 from repro.sim.supervisor import (
     SupervisedPoolBackend,
     SupervisorConfig,
@@ -339,11 +340,13 @@ class TestKeyboardInterruptTeardown:
     def test_workers_reaped_and_journal_flushed(
         self, source, tmp_path, monkeypatch
     ):
-        """An interrupt mid-campaign must kill children, keep the journal."""
+        """An interrupt mid-campaign must kill children, keep the shards
+        already published and release every held lease."""
         simulator, faults, patterns, _ = _setup(source=source)
-        journal_path = tmp_path / "interrupted.jsonl"
+        store_dir = tmp_path / "interrupted"
         backend = SupervisedPoolBackend(
-            jobs=1, partitions=4, journal=CampaignJournal(str(journal_path))
+            jobs=1, partitions=4,
+            store=ShardStore(str(store_dir), runner_id="resume"),
         )
         spawned = []
         original_spawn = SupervisedPoolBackend._spawn
@@ -358,26 +361,24 @@ class TestKeyboardInterruptTeardown:
         monkeypatch.setattr(SupervisedPoolBackend, "_spawn", interrupting_spawn)
         with pytest.raises(KeyboardInterrupt):
             backend.run(simulator, patterns, faults)
-        backend.journal.close()
-        # Every spawned worker is dead, and completed shards are durable.
+        # Every spawned worker is dead, completed shards are durable, and
+        # no lease is left for the rerun to wait out.
         for slot in spawned:
             assert not slot.process.is_alive()
         assert not multiprocessing.active_children()
-        completed = sum(
-            1
-            for line in journal_path.read_text().splitlines()
-            if '"kind":"partition"' in line
-        )
-        assert completed == 2
+        names = sorted(os.listdir(store_dir / "shards"))
+        assert len([n for n in names if n.endswith(".result")]) == 2
+        assert [n for n in names if n.endswith(".lease")] == []
         monkeypatch.undo()
-        # The interrupted campaign resumes: journal shards are skipped and
-        # the final merge is bit-identical to a clean run.
+        # The interrupted campaign resumes: published shards are skipped
+        # and the final merge is bit-identical to a clean run.
         resumed = SupervisedPoolBackend(
-            jobs=1, partitions=4, journal=CampaignJournal(str(journal_path))
+            jobs=1, partitions=4,
+            store=ShardStore(str(store_dir), runner_id="resume"),
         ).run(simulator, patterns, faults)
         reference = simulator.simulate(patterns, faults)
         _assert_identical(resumed, reference)
-        assert resumed.stats["journal_skipped"] == 2
+        assert resumed.stats["resumed"] == 2
 
 
 class TestChaosScheduleProperty:
