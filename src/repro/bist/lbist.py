@@ -23,8 +23,15 @@ from ..compression.misr import MISR
 from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault
 from ..faults.stuck_at import full_fault_list
-from ..sim.faultsim import FaultSimulator
-from ..sim.parallel import WORD_WIDTH
+from ..sim.faultsim import FaultSimResult, FaultSimulator
+from ..sim.parallel import WORD_WIDTHS
+
+#: Default patterns per simulation word for LBIST: a session grades every
+#: pattern in one ``simulate`` call, so it runs at the top of the ladder.
+LBIST_WORD_WIDTH = WORD_WIDTHS[-1]
+
+#: Patterns per weighted draw and per weighted coverage point.
+WEIGHTED_BLOCK = 64
 
 
 @dataclass
@@ -53,18 +60,15 @@ class StumpsController:
     """PRPG + MISR wrapped around one netlist's full-scan view.
 
     ``word_width`` sets the patterns packed per simulation word for both
-    the coverage grading and the signature pass.  The two passes
-    share one :class:`ParallelSimulator`, so with chunking aligned
-    (``checkpoint_every`` a multiple of ``word_width``) the signature pass
-    replays the coverage loop's good-machine blocks straight from the
-    response cache.
+    the coverage grading and the signature pass; results are identical for
+    every width.
     """
 
     def __init__(
         self,
         netlist: Netlist,
         config: Optional[LbistConfig] = None,
-        word_width: int = WORD_WIDTH,
+        word_width: int = LBIST_WORD_WIDTH,
     ):
         netlist.finalize()
         self.netlist = netlist
@@ -93,14 +97,24 @@ class StumpsController:
         return patterns
 
     def good_signature(self, patterns: Sequence[Sequence[int]]) -> int:
-        """MISR signature of the fault-free responses."""
+        """MISR signature of the fault-free responses.
+
+        Each response is absorbed in ``misr_length``-bit slices.  The
+        reader columns of the packed good words fold straight into the
+        MISR; after :meth:`run` graded the same patterns at the same width,
+        every word block is a good-machine cache hit.
+        """
+        parallel = self.parallel
+        readers = parallel.view.output_readers
+        columns = [0] * len(readers)
+        width = parallel.word_width
+        for start in range(0, len(patterns), width):
+            chunk = patterns[start : start + width]
+            words = parallel.evaluate_words(parallel.pack_block(chunk), len(chunk))
+            for position, reader in enumerate(readers):
+                columns[position] |= words[reader] << start
         misr = MISR(self.config.misr_length, seed=0)
-        width = self.config.misr_length
-        for response in self.parallel.responses(patterns):
-            # Fold wide responses into MISR-width slices.
-            for start in range(0, len(response), width):
-                misr.absorb(response[start : start + width])
-        return misr.signature
+        return misr.absorb_columns(columns, len(patterns))
 
     def run(
         self,
@@ -108,39 +122,53 @@ class StumpsController:
         faults: Optional[Sequence[StuckAtFault]] = None,
         checkpoint_every: int = 64,
     ) -> LbistResult:
-        """Apply ``n_patterns`` PRPG patterns, recording the coverage curve."""
+        """Apply ``n_patterns`` PRPG patterns, recording the coverage curve.
+
+        The session is graded in one fault-dropping ``simulate`` call and
+        the curve (a point every ``checkpoint_every`` patterns) is rebuilt
+        from first-detect indices.  That is exact: the PRPG stream does
+        not depend on detection, and a dropped fault's index is its first
+        detecting pattern.
+        """
         if faults is None:
             faults, _ = collapse_faults(self.netlist, full_fault_list(self.netlist))
-        result = LbistResult(total_faults=len(faults))
-        remaining = list(faults)
-        detected_total = 0
-        all_patterns: List[List[int]] = []
-        applied = 0
         with obs.span("coverage_loop"):
-            while applied < n_patterns:
-                chunk_size = min(checkpoint_every, n_patterns - applied)
-                chunk = self.generate_patterns(chunk_size)
-                all_patterns.extend(chunk)
-                sim = self.simulator.simulate(chunk, remaining, drop=True)
-                detected_total += len(sim.detected)
-                # The survivors, in order: no per-chunk re-hash of the list.
-                remaining = sim.undetected
-                applied += chunk_size
-                result.coverage_points.append(
-                    {
-                        "patterns": float(applied),
-                        "coverage": detected_total / len(faults)
-                        if faults
-                        else 1.0,
-                    }
-                )
-        result.patterns_applied = applied
-        result.final_coverage = detected_total / len(faults) if faults else 1.0
-        result.undetected = remaining
+            patterns = self.generate_patterns(n_patterns)
+            sim = self.simulator.simulate(patterns, faults, drop=True)
+        result = _graded_result(sim, len(faults), n_patterns, checkpoint_every)
         with obs.span("signature"):
-            result.signature = self.good_signature(all_patterns)
+            result.signature = self.good_signature(patterns)
         _publish_lbist(result)
         return result
+
+
+def _graded_result(
+    sim: FaultSimResult, total_faults: int, n_patterns: int, checkpoint_every: int
+) -> LbistResult:
+    """An :class:`LbistResult` from one fault-dropping grade of a session.
+
+    Point *k* holds the coverage after ``min((k + 1) * checkpoint_every,
+    n_patterns)`` patterns: the faults whose first detection falls below.
+    """
+    per_block = [0] * -(-n_patterns // checkpoint_every)
+    for index in sim.detected.values():
+        per_block[index // checkpoint_every] += 1
+    result = LbistResult(
+        patterns_applied=n_patterns,
+        total_faults=total_faults,
+        final_coverage=len(sim.detected) / total_faults if total_faults else 1.0,
+        undetected=sim.undetected,
+    )
+    detected = 0
+    for block, count in enumerate(per_block):
+        detected += count
+        result.coverage_points.append(
+            {
+                "patterns": float(min((block + 1) * checkpoint_every, n_patterns)),
+                "coverage": detected / total_faults if total_faults else 1.0,
+            }
+        )
+    return result
 
 
 def _publish_lbist(result: LbistResult) -> None:
@@ -236,13 +264,16 @@ def run_weighted_lbist(
     n_patterns: int,
     faults: Optional[Sequence[StuckAtFault]] = None,
     seed: int = 1,
-    word_width: int = WORD_WIDTH,
+    word_width: int = LBIST_WORD_WIDTH,
 ) -> LbistResult:
     """LBIST with COP-derived weighted-random patterns.
 
     Real implementations realize the weights with programmable weighting
     logic behind the PRPG; here the weighted source is modeled directly
     (the coverage comparison against uniform STUMPS is what matters).
+    Patterns are drawn in :data:`WEIGHTED_BLOCK`-pattern blocks, graded in
+    one call, with one coverage point per block, so results do not depend
+    on ``word_width``.
     """
     from ..atpg.random_gen import weighted_random_patterns
     from ..sim.faultsim import FaultSimulator
@@ -253,30 +284,17 @@ def run_weighted_lbist(
     simulator = FaultSimulator(netlist, word_width=word_width)
     with obs.span("derive_weights"):
         weights = derive_input_weights(netlist)
-    result = LbistResult(total_faults=len(faults))
-    remaining = list(faults)
-    detected_total = 0
-    applied = 0
-    chunk_size = word_width
     with obs.span("coverage_loop"):
-        while applied < n_patterns:
-            count = min(chunk_size, n_patterns - applied)
-            chunk = weighted_random_patterns(
-                len(weights), count, weights, seed=seed * 131 + applied
+        patterns: List[List[int]] = []
+        for applied in range(0, n_patterns, WEIGHTED_BLOCK):
+            patterns += weighted_random_patterns(
+                len(weights),
+                min(WEIGHTED_BLOCK, n_patterns - applied),
+                weights,
+                seed=seed * 131 + applied,
             )
-            graded = simulator.simulate(chunk, remaining, drop=True)
-            detected_total += len(graded.detected)
-            remaining = graded.undetected
-            applied += count
-            result.coverage_points.append(
-                {
-                    "patterns": float(applied),
-                    "coverage": detected_total / len(faults) if faults else 1.0,
-                }
-            )
-    result.patterns_applied = applied
-    result.final_coverage = detected_total / len(faults) if faults else 1.0
-    result.undetected = remaining
+        graded = simulator.simulate(patterns, faults, drop=True)
+    result = _graded_result(graded, len(faults), n_patterns, WEIGHTED_BLOCK)
     _publish_lbist(result)
     return result
 
@@ -287,7 +305,7 @@ def coverage_curve(
     config: Optional[LbistConfig] = None,
     faults: Optional[Sequence[StuckAtFault]] = None,
     checkpoint_every: int = 64,
-    word_width: int = WORD_WIDTH,
+    word_width: int = LBIST_WORD_WIDTH,
 ) -> List[Dict[str, float]]:
     """Convenience: just the (patterns, coverage) series for E2/E6 plots."""
     controller = StumpsController(netlist, config, word_width=word_width)

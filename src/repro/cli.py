@@ -31,7 +31,8 @@ Exit codes:
 ``2``    bad arguments, or a campaign mismatch: a store keyed to another
          circuit, pattern set, seed or partition count, a ``--store`` or
          ``--resume`` path that is a file (e.g. a JSONL journal from an
-         older checkout), an ``obs tail`` path with no ``campaign.json``
+         older checkout), an ``obs tail`` path with no ``campaign.json``,
+         or a store whose result file fails its digest check
 ``3``    a supervised fault-sim campaign completed *partially*
          (unrecoverable partitions — reported coverage is a lower bound)
 ``4``    benchmark regression detected by ``obs gate``
@@ -57,7 +58,7 @@ from . import obs
 from .atpg import ENGINE_NAMES, atpg_table_row, run_atpg
 from .obs import regress
 from .obs.regress import RegressConfig
-from .bist.lbist import StumpsController
+from .bist.lbist import LBIST_WORD_WIDTH, StumpsController
 from .bist.mbist import coverage_matrix, format_matrix
 from .circuit import benchmarks
 from .circuit.bench import load_bench
@@ -69,7 +70,7 @@ from .scan.patfile import format_patterns, load_patterns
 from .sim.chaos import ChaosPlan, HostChaosPlan
 from .sim.dispatch import BACKEND_NAMES
 from .sim.faultsim import FaultSimulator
-from .sim.store import ShardStore, read_store_progress
+from .sim.store import ShardStore, StoreCorruptionError, read_store_progress
 from .sim.parallel import WORD_WIDTH, WORD_WIDTHS
 from .sim.supervisor import (
     RESUME_RUNNER_ID,
@@ -441,14 +442,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_word_width_argument(parser: argparse.ArgumentParser) -> None:
+def _add_word_width_argument(
+    parser: argparse.ArgumentParser, default: int = WORD_WIDTH
+) -> None:
     parser.add_argument(
         "--word-width",
         type=_positive_int,
-        default=WORD_WIDTH,
+        default=default,
         help=(
             "patterns packed per simulation word "
-            f"(default: {WORD_WIDTH}; characterized ladder: "
+            f"(default: {default}; characterized ladder: "
             f"{'/'.join(str(w) for w in WORD_WIDTHS)}; results are "
             "bit-identical for every width)"
         ),
@@ -665,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     lbist = commands.add_parser("lbist", help="run STUMPS logic BIST")
     _add_circuit_arguments(lbist)
     lbist.add_argument("--patterns", type=int, default=512)
-    _add_word_width_argument(lbist)
+    _add_word_width_argument(lbist, default=LBIST_WORD_WIDTH)
     _add_obs_arguments(lbist)
     lbist.set_defaults(handler=_cmd_lbist)
 
@@ -820,7 +823,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
-    except ValueError as exc:
+    except (ValueError, StoreCorruptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

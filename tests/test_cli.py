@@ -92,6 +92,16 @@ class TestCommands:
         assert "final coverage" in out
         assert "signature" in out
 
+    def test_lbist_default_width_matches_64(self, capsys):
+        """Without ``--word-width`` the session grades at the controller's
+        wide default; curve and signature equal a 64-pattern-word run."""
+        args = ["lbist", "alu4", "--patterns", "300"]
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main(args + ["--word-width", "64"]) == 0
+        assert capsys.readouterr().out == default
+        assert "300 patterns" in default
+
     def test_mbist(self, capsys):
         assert main(["mbist", "--cells", "32", "--samples", "5"]) == 0
         out = capsys.readouterr().out
@@ -181,6 +191,26 @@ class TestSupervisedCampaigns:
         assert "resumed: 4/4" in second_out
         assert "[resume]: 0/4 shards graded by this runner" in second_out
         assert first_out.splitlines()[1] == second_out.splitlines()[1]  # coverage
+
+    def test_resume_tampered_result_exits_two(self, pattern_file, tmp_path, capsys):
+        """A result file whose digest no longer matches its content is
+        corruption: exit 2 with the store's message, not a traceback."""
+        import json
+
+        store = tmp_path / "campaign"
+        args = ["faultsim", "alu4", pattern_file, "--jobs", "2",
+                "--partitions", "4", "--resume", str(store)]
+        assert main(args) == 0
+        capsys.readouterr()
+        result_file = store / "shards" / "00000.result"
+        payload = json.loads(result_file.read_text())
+        payload["digest"] = "0" * len(payload["digest"])
+        result_file.write_text(json.dumps(payload))
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: shard 0" in err
+        assert "corrupted" in err
 
     def test_resume_into_existing_directory(self, pattern_file, tmp_path, capsys):
         code = main(

@@ -4,7 +4,11 @@ import pytest
 
 from repro.bist.lbist import LbistConfig, StumpsController, coverage_curve
 from repro.circuit import benchmarks, generators
+from repro.compression.lfsr import PRIMITIVE_TAPS
+from repro.compression.misr import MISR
 from repro.faults import collapse_faults, full_fault_list
+from repro.sim.goodcache import DEFAULT_CACHE
+from repro.sim.parallel import ParallelSimulator
 
 
 class TestPatternGeneration:
@@ -112,3 +116,61 @@ class TestSurvivorList:
         assert result.undetected
         assert result.coverage_points == curve
         assert result.undetected == remaining
+
+
+def _serial_signature(netlist, patterns, misr_length):
+    """The reference signature: every fault-free response, from an
+    uncached simulator, absorbed slice by slice into a serial MISR."""
+    misr = MISR(misr_length, seed=0)
+    for response in ParallelSimulator(netlist, cache=None).responses(patterns):
+        for start in range(0, len(response), misr_length):
+            misr.absorb(response[start : start + misr_length])
+    return misr.signature
+
+
+class TestSignatureOracle:
+    """``run``'s signature, folded from packed good words, against the
+    serial MISR.  The circuits have 15 and 36 observation readers: one
+    short slice per response, and two or three slices of which the last is
+    short, for every MISR length."""
+
+    MISR_LENGTHS = [length for length in sorted(PRIMITIVE_TAPS) if length >= 16]
+
+    @pytest.fixture(scope="class")
+    def circuits(self):
+        return [
+            generators.random_sequential(4, 40, 6, seed=12),
+            generators.random_sequential(6, 80, 30, seed=3),
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("width", [64, 256, 4096])
+    @pytest.mark.parametrize("n_patterns", [1, 7, 100, 320])
+    def test_signature_matches_serial_misr(self, circuits, seed, width, n_patterns):
+        for netlist in circuits:
+            patterns = StumpsController(
+                netlist, LbistConfig(seed=seed)
+            ).generate_patterns(n_patterns)
+            for length in self.MISR_LENGTHS:
+                config = LbistConfig(seed=seed, misr_length=length)
+                result = StumpsController(netlist, config, word_width=width).run(
+                    n_patterns
+                )
+                assert result.signature == _serial_signature(
+                    netlist, patterns, length
+                ), (netlist.name, length)
+
+
+class TestWorkIdentity:
+    @pytest.mark.parametrize("width", [64, 256, 4096])
+    @pytest.mark.parametrize("n_patterns", [1, 100, 320])
+    def test_one_good_pass_per_word(self, width, n_patterns):
+        """The grade evaluates each word block once; the signature pass
+        reads every block back from the good-machine cache."""
+        DEFAULT_CACHE.clear()
+        controller = StumpsController(
+            generators.random_resistant(14, cones=3), word_width=width
+        )
+        before = controller.parallel.evaluations
+        controller.run(n_patterns)
+        assert controller.parallel.evaluations - before == -(-n_patterns // width)

@@ -49,3 +49,17 @@ class TestWeightedCoverage:
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
         result = run_weighted_lbist(netlist, 128, faults=faults[:10], seed=1)
         assert result.total_faults == 10
+
+    def test_width_invariant(self):
+        """Patterns are drawn in fixed blocks, so the word width changes
+        neither the patterns nor the coverage."""
+        netlist = generators.random_resistant(14, cones=3)
+        runs = [
+            run_weighted_lbist(netlist, 512, seed=1, word_width=width)
+            for width in (64, 256, 4096)
+        ]
+        for result in runs[1:]:
+            assert result.coverage_points == runs[0].coverage_points
+            assert result.undetected == runs[0].undetected
+            assert result.final_coverage == runs[0].final_coverage
+        assert len(runs[0].coverage_points) == 512 // 64
